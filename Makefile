@@ -1,7 +1,7 @@
 # Developer targets; `make check` is the pre-commit gate.
 GO ?= go
 
-.PHONY: build test race vet bench bench-json bench-compare check serve difftest faulttest e2e
+.PHONY: build test race vet bench bench-json bench-compare benchtest loc check serve difftest faulttest e2e
 
 build:
 	$(GO) build ./...
@@ -9,8 +9,9 @@ build:
 test:
 	$(GO) test ./...
 
-# The packages with concurrent hot paths: the parallel sweep, the
-# metrics substrate, and the query service (admission + batching) —
+# The packages with concurrent hot paths: the sweep executor (core) and
+# its find-relation runner's tests (harness), the metrics substrate,
+# and the query service (admission + batching) —
 # plus the refiner and the oracle harness, whose parallel cross-checks
 # double as a race probe of the whole pipeline, and the resilience
 # layer (snapshot loads race background rebuilds; the fault seam is
@@ -20,7 +21,7 @@ test:
 # round-robin replica cursors), and the WAL (group-commit leaders
 # racing enqueuers, compaction-driven prunes, and health scrapes).
 race:
-	$(GO) test -race ./internal/harness/ ./internal/obs/ ./internal/server/ ./internal/de9im/ ./internal/oracle/ ./internal/snapshot/ ./internal/fault/ ./internal/trace/ ./internal/shard/ ./internal/shard/router/ ./internal/wal/
+	$(GO) test -race ./internal/core/ ./internal/harness/ ./internal/obs/ ./internal/server/ ./internal/de9im/ ./internal/oracle/ ./internal/snapshot/ ./internal/fault/ ./internal/trace/ ./internal/shard/ ./internal/shard/router/ ./internal/wal/
 
 # Differential correctness run (see README "Correctness"): a fixed-seed
 # sweep of generated lattice pairs through every production path,
@@ -58,9 +59,9 @@ bench:
 # trajectory"): a small fixed-seed benchrun suite written as JSON. CI
 # runs this as a smoke test of the recording harness; the checked-in
 # BENCH_N.json artifacts are produced by the full default suite
-# (`go run ./cmd/benchrun -out BENCH_N.json`).
+# (`go run ./cmd/benchrun -label BENCH_N`; -out defaults to <label>.json).
 bench-json:
-	$(GO) run ./cmd/benchrun -scale 0.05 -pairs 500 -trials 3 -label BENCH_SMOKE -out bench-smoke.json
+	$(GO) run ./cmd/benchrun -scale 0.05 -pairs 500 -trials 3 -label bench-smoke
 	head -c 400 bench-smoke.json; echo
 
 # Benchmark comparison smoke (see README "Performance"): re-runs the
@@ -70,7 +71,22 @@ bench-json:
 # on absolute timings (machines differ). A fingerprint drift means the
 # pipelines changed verdicts: a correctness failure, not a perf one.
 bench-compare:
-	$(GO) run ./cmd/benchrun -trials 1 -warmup 1 -label BENCH_CI -out bench-ci.json -compare BENCH_7.json -regress 0
+	$(GO) run ./cmd/benchrun -trials 1 -warmup 1 -label bench-ci -compare BENCH_7.json -regress 0
+
+# The end-to-end benchmark (bench/, see BENCHMARK.json) is a nested
+# module that `go build ./...` and `go test ./...` skip, yet it compiles
+# against internal names: vet and test it here so a refactor cannot
+# silently break the benchmark's build.
+benchtest:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
+# Non-test Go lines per package (bench/ excluded): the ROADMAP's
+# net-negative goal, visible in CI logs.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
+		| xargs -0 awk 'FNR == 1 { d = FILENAME; sub("/[^/]*$$", "", d) } { loc[d]++; total++ } \
+			END { for (d in loc) printf "%7d %s\n", loc[d], d; printf "%7d total\n", total }' | sort -k2
 
 # Multi-process end-to-end smoke of the sharded serving tier (see
 # README "Sharded serving"): builds real topojoind + topojoinrouter
@@ -93,4 +109,4 @@ e2e:
 serve:
 	$(GO) run ./cmd/topojoind -gen OLE,OPE -scale 0.1
 
-check: build vet test race
+check: build vet test race benchtest loc

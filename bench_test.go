@@ -59,7 +59,7 @@ func sharedEnv(b *testing.B) *harness.Env {
 	return benchEnv
 }
 
-func benchPairs(b *testing.B, combo [2]string) []harness.Pair {
+func benchPairs(b *testing.B, combo [2]string) []core.Pair {
 	b.Helper()
 	pairs, err := sharedEnv(b).CandidatePairs(combo)
 	if err != nil {
@@ -151,7 +151,7 @@ func benchLevelName(l int) string {
 // inside pair, P+C (no refinement) vs OP2 (full DE-9IM).
 func BenchmarkFig9Pair(b *testing.B) {
 	pairs := benchPairs(b, harness.ComplexityCombo)
-	var best harness.Pair
+	var best core.Pair
 	found := false
 	bestC := -1
 	for _, p := range pairs {
@@ -283,7 +283,7 @@ func BenchmarkParallel(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				harness.RunFindRelationParallel(core.PC, pairs, workers)
+				core.RunFindRelation(context.Background(), core.PC, pairs, workers, nil)
 			}
 		})
 	}

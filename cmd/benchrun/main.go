@@ -6,9 +6,9 @@
 // appends a new BENCH_N.json produced by the same harness, so "faster"
 // is always a diff between two recorded points rather than an assertion.
 //
-//	benchrun -out BENCH_7.json                    # record the default suite
-//	benchrun -combos OLE:OPE -pairs 2000 -trials 3
-//	benchrun -scale 0.05 -out -                   # quick run to stdout
+//	benchrun -label BENCH_7                       # record the default suite as BENCH_7.json
+//	benchrun -label probe -combos OLE:OPE -pairs 2000 -trials 3
+//	benchrun -label probe -scale 0.05 -out -      # quick run to stdout
 //
 // The workload is deterministic: a fixed seed produces the same
 // datasets, the same candidate pairs (capped at -pairs per combo, so
@@ -41,12 +41,19 @@ func main() {
 		pairs  = flag.Int("pairs", 4000, "max candidate pairs swept per combo (0 = all)")
 		warmup = flag.Int("warmup", 1, "discarded warmup sweeps per pipeline")
 		trials = flag.Int("trials", 5, "measured sweeps per pipeline (median reported)")
-		out     = flag.String("out", "BENCH_8.json", "output path (- for stdout)")
-		label   = flag.String("label", "BENCH_8", "benchmark point label recorded in the artifact")
+		label   = flag.String("label", "", "benchmark point label recorded in the artifact (required)")
+		out     = flag.String("out", "", "output path (- for stdout; default <label>.json)")
 		compare = flag.String("compare", "", "baseline BENCH_N.json to diff against (prints per-combo deltas, verifies fingerprints)")
 		regress = flag.Float64("regress", 0, "with -compare: fail if any pipeline's ns/pair regresses more than this percent (<= 0 gates on fingerprints only)")
 	)
 	flag.Parse()
+	if *label == "" {
+		fmt.Fprintln(os.Stderr, "benchrun: -label is required (e.g. -label BENCH_9)")
+		os.Exit(2)
+	}
+	if *out == "" {
+		*out = *label + ".json"
+	}
 
 	cfg := config{
 		Seed: *seed, Scale: *scale, Order: *order,
@@ -146,7 +153,7 @@ type PipelineResult struct {
 
 // trial is one measured sweep: the stats plus its allocation delta.
 type trial struct {
-	st      harness.MethodStats
+	st      core.MethodStats
 	mallocs uint64
 }
 
@@ -198,7 +205,7 @@ func run(cfg config) (*Report, error) {
 // measure runs warmup+trials sweeps of one pipeline and reports the
 // median trial (by elapsed time) so a GC pause or scheduler hiccup in
 // one trial cannot skew the recorded point.
-func measure(m core.Method, pairs []harness.Pair, warmup, trials int) PipelineResult {
+func measure(m core.Method, pairs []core.Pair, warmup, trials int) PipelineResult {
 	for i := 0; i < warmup; i++ {
 		harness.RunFindRelation(m, pairs)
 	}
@@ -224,7 +231,7 @@ func measure(m core.Method, pairs []harness.Pair, warmup, trials int) PipelineRe
 // measureOnce times one serial sweep and its heap allocation count.
 // The GC runs first so a collection triggered by a previous trial's
 // garbage doesn't land inside this trial's wall clock.
-func measureOnce(m core.Method, pairs []harness.Pair) trial {
+func measureOnce(m core.Method, pairs []core.Pair) trial {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

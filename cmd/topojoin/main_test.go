@@ -97,9 +97,9 @@ func TestRunMetricsSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	idPairs := join.Pairs(ld.MBRs(), rd.MBRs())
-	hp := make([]harness.Pair, len(idPairs))
+	hp := make([]core.Pair, len(idPairs))
 	for i, pr := range idPairs {
-		hp[i] = harness.Pair{R: ld.Objects[pr[0]], S: rd.Objects[pr[1]]}
+		hp[i] = core.Pair{R: ld.Objects[pr[0]], S: rd.Objects[pr[1]]}
 	}
 	st := harness.RunFindRelation(core.PC, hp)
 	if got := reg.Counter(obs.Name("pipeline_verdict_total", "stage", "refine")).Value(); got != int64(st.Undetermined) {

@@ -88,25 +88,20 @@ func verdictOf(res Result) Verdict {
 
 // FindRelationObserved is FindRelation with per-pair telemetry delivered
 // to sink. A nil sink short-circuits to the plain path, so call sites
-// can stay instrumented permanently at the cost of one comparison.
+// can stay instrumented permanently at the cost of one comparison. The
+// refiner is timed separately from the filter stages, fixing the classic
+// attribution mistake of charging a refined pair's filter time to
+// refinement: filter = total − refine, measured per pair, regardless of
+// how many filters ran before the verdict.
 func FindRelationObserved(m Method, r, s *Object, sink PipelineSink) Result {
-	return FindRelationObservedWith(m, r, s, Refine, sink)
-}
-
-// FindRelationObservedWith is FindRelationObserved with a custom
-// refinement step. The refiner is timed separately from the filter
-// stages, fixing the classic attribution mistake of charging a refined
-// pair's filter time to refinement: filter = total − refine, measured
-// per pair, regardless of how many filters ran before the verdict.
-func FindRelationObservedWith(m Method, r, s *Object, refine Refiner, sink PipelineSink) Result {
 	if sink == nil {
-		return FindRelationWith(m, r, s, refine)
+		return FindRelation(m, r, s)
 	}
 	sw := obs.NewStopwatch()
 	var refineTime time.Duration
 	timed := func(a, b *Object) de9im.Matrix {
 		t0 := time.Now()
-		mat := refine(a, b)
+		mat := Refine(a, b)
 		refineTime += time.Since(t0)
 		return mat
 	}

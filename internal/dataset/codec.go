@@ -2,112 +2,74 @@ package dataset
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/april"
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/store"
 )
 
-// Binary format: a small header, then per object the polygon rings
-// followed by the encoded APRIL approximation. Written with buffered
-// little-endian primitives; floats are bit-exact.
+// Binary format (.stj, little-endian): magic u32, version u16, name and
+// entity (u16-length-prefixed), object count u32, then per object two
+// u32-length-prefixed blobs — the geometry as the shared
+// store.EncodePolygon blob (the one polygon wire format: snapshots and
+// the WAL carry the same bytes) and the encoded APRIL approximation.
+// Floats are bit-exact. Version 1 (private per-vertex ring encoding) is
+// retired and rejected.
 const (
 	magic   = 0x53544a31 // "STJ1"
-	version = 1
+	version = 2
+
+	// maxBlobLen bounds either per-object blob (256 MiB): larger values
+	// indicate corruption, and the reader grows its buffer only as bytes
+	// actually arrive, so a lying length cannot force the allocation.
+	maxBlobLen = 1 << 28
 )
 
 // Write serializes the dataset.
 func (d *Dataset) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if err := writeHeader(bw, d); err != nil {
-		return err
+	hdr := binary.LittleEndian.AppendUint32(nil, magic)
+	hdr = binary.LittleEndian.AppendUint16(hdr, version)
+	for _, s := range []string{d.Name, d.Entity} {
+		hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(s)))
+		hdr = append(hdr, s...)
 	}
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(d.Objects)))
+	bw.Write(hdr) // bufio keeps the first error for Flush
+	var n [4]byte
 	for _, o := range d.Objects {
-		if err := writeObject(bw, o); err != nil {
-			return fmt.Errorf("dataset %s: object %d: %w", d.Name, o.ID, err)
+		for _, blob := range [][]byte{store.EncodePolygon(o.Poly), o.Approx.AppendEncode(nil)} {
+			binary.LittleEndian.PutUint32(n[:], uint32(len(blob)))
+			bw.Write(n[:])
+			bw.Write(blob)
 		}
 	}
-	return bw.Flush()
-}
-
-func writeHeader(w io.Writer, d *Dataset) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(magic)); err != nil {
-		return err
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("dataset %s: %w", d.Name, err)
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint16(version)); err != nil {
-		return err
-	}
-	if err := writeString(w, d.Name); err != nil {
-		return err
-	}
-	if err := writeString(w, d.Entity); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, uint32(len(d.Objects)))
-}
-
-func writeString(w io.Writer, s string) error {
-	if err := binary.Write(w, binary.LittleEndian, uint16(len(s))); err != nil {
-		return err
-	}
-	_, err := w.Write([]byte(s))
-	return err
-}
-
-func writeObject(w io.Writer, o *core.Object) error {
-	if err := binary.Write(w, binary.LittleEndian, uint16(1+len(o.Poly.Holes))); err != nil {
-		return err
-	}
-	write := func(r geom.Ring) error {
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(r))); err != nil {
-			return err
-		}
-		for _, p := range r {
-			if err := binary.Write(w, binary.LittleEndian, math.Float64bits(p.X)); err != nil {
-				return err
-			}
-			if err := binary.Write(w, binary.LittleEndian, math.Float64bits(p.Y)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := write(o.Poly.Shell); err != nil {
-		return err
-	}
-	for _, h := range o.Poly.Holes {
-		if err := write(h); err != nil {
-			return err
-		}
-	}
-	buf := o.Approx.AppendEncode(nil)
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(buf))); err != nil {
-		return err
-	}
-	_, err := w.Write(buf)
-	return err
+	return nil
 }
 
 // Read parses a dataset written by Write.
 func Read(r io.Reader) (*Dataset, error) {
 	br := bufio.NewReader(r)
-	var m uint32
-	if err := binary.Read(br, binary.LittleEndian, &m); err != nil {
+	var hdr struct {
+		Magic   uint32
+		Version uint16
+	}
+	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
 		return nil, fmt.Errorf("dataset: header: %w", err)
 	}
-	if m != magic {
-		return nil, fmt.Errorf("dataset: bad magic %#x", m)
+	if hdr.Magic != magic {
+		return nil, fmt.Errorf("dataset: bad magic %#x", hdr.Magic)
 	}
-	var v uint16
-	if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
-		return nil, err
-	}
-	if v != version {
-		return nil, fmt.Errorf("dataset: unsupported version %d", v)
+	if hdr.Version != version {
+		return nil, fmt.Errorf("dataset: unsupported version %d (want %d; regenerate the file)", hdr.Version, version)
 	}
 	name, err := readString(br)
 	if err != nil {
@@ -127,13 +89,14 @@ func Read(r io.Reader) (*Dataset, error) {
 	if capHint > 1<<16 {
 		capHint = 1 << 16
 	}
-	// Rings stream straight into one columnar arena; objects are
-	// materialized after Finish, when the slab views and cached bounds
-	// exist.
+	// Geometry blobs stream straight into one columnar arena; objects
+	// are materialized after Finish, when the slab views and cached
+	// bounds exist.
 	var ab geom.ArenaBuilder
+	var blob bytes.Buffer // reused: both decoders copy out of it
 	approxes := make([]april.Approx, 0, capHint)
 	for i := uint32(0); i < n; i++ {
-		ap, err := readObjectInto(&ab, br)
+		ap, err := readObjectInto(&ab, br, &blob)
 		if err != nil {
 			return nil, fmt.Errorf("dataset %s: object %d: %w", name, i, err)
 		}
@@ -161,58 +124,37 @@ func readString(r io.Reader) (string, error) {
 	return string(buf), nil
 }
 
-// maxRingVertices bounds a single ring read from disk (16 MB of
-// coordinates): larger values indicate corruption, and failing early
-// avoids adversarial multi-gigabyte allocations.
-const maxRingVertices = 1 << 20
+// readBlob reads one u32-length-prefixed blob into buf (reset first).
+func readBlob(r io.Reader, buf *bytes.Buffer) ([]byte, error) {
+	var n uint32
+	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+		return nil, err
+	}
+	if n > maxBlobLen {
+		return nil, fmt.Errorf("implausible blob size %d", n)
+	}
+	buf.Reset()
+	if _, err := io.CopyN(buf, r, int64(n)); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
 
-// readObjectInto streams one object's rings into the arena builder and
-// returns its decoded approximation, with the same validation as the old
-// heap reader. On error the builder holds a partial polygon and must be
-// discarded (Read fails the whole dataset anyway).
-func readObjectInto(b *geom.ArenaBuilder, r io.Reader) (april.Approx, error) {
-	var rings uint16
-	if err := binary.Read(r, binary.LittleEndian, &rings); err != nil {
-		return april.Approx{}, err
-	}
-	if rings == 0 {
-		return april.Approx{}, fmt.Errorf("object has no rings")
-	}
-	b.BeginPolygon()
-	for ri := uint16(0); ri < rings; ri++ {
-		var n uint32
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-			return april.Approx{}, err
-		}
-		if n > maxRingVertices {
-			return april.Approx{}, fmt.Errorf("implausible ring size %d", n)
-		}
-		b.BeginRing()
-		for i := uint32(0); i < n; i++ {
-			var xb, yb uint64
-			if err := binary.Read(r, binary.LittleEndian, &xb); err != nil {
-				return april.Approx{}, err
-			}
-			if err := binary.Read(r, binary.LittleEndian, &yb); err != nil {
-				return april.Approx{}, err
-			}
-			b.Vertex(math.Float64frombits(xb), math.Float64frombits(yb))
-		}
-	}
-	var alen uint32
-	if err := binary.Read(r, binary.LittleEndian, &alen); err != nil {
-		return april.Approx{}, err
-	}
-	if alen > 1<<28 {
-		return april.Approx{}, fmt.Errorf("implausible approximation size %d", alen)
-	}
-	abuf := make([]byte, alen)
-	if _, err := io.ReadFull(r, abuf); err != nil {
-		return april.Approx{}, err
-	}
-	ap, _, err := april.DecodeApprox(abuf)
+// readObjectInto streams one object's geometry blob into the arena
+// builder and returns its decoded approximation. On error the builder
+// holds a partial polygon and must be discarded (Read fails the whole
+// dataset anyway).
+func readObjectInto(b *geom.ArenaBuilder, r io.Reader, buf *bytes.Buffer) (april.Approx, error) {
+	blob, err := readBlob(r, buf)
 	if err != nil {
 		return april.Approx{}, err
 	}
-	return ap, nil
+	if err := store.DecodePolygonInto(b, blob); err != nil {
+		return april.Approx{}, err
+	}
+	if blob, err = readBlob(r, buf); err != nil {
+		return april.Approx{}, err
+	}
+	ap, _, err := april.DecodeApprox(blob)
+	return ap, err
 }

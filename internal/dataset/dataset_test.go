@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/april"
@@ -100,6 +101,10 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// headerLen is the byte length of ds's .stj header: magic, version, the
+// two length-prefixed strings and the object count.
+func headerLen(ds *Dataset) int { return 4 + 2 + 2 + len(ds.Name) + 2 + len(ds.Entity) + 4 }
+
 func TestReadErrors(t *testing.T) {
 	if _, err := Read(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input should fail")
@@ -115,6 +120,19 @@ func TestReadErrors(t *testing.T) {
 	full := buf.Bytes()
 	if _, err := Read(bytes.NewReader(full[:len(full)/2])); err == nil {
 		t.Error("truncated input should fail")
+	}
+	// The retired version 1 (private ring encoding) is a clean error,
+	// never a misparse of ring bytes as blob framing.
+	old := append([]byte(nil), full...)
+	old[4] = 1
+	if _, err := Read(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Errorf("version-1 file: err = %v, want unsupported version", err)
+	}
+	// A blob length past the cap fails before any allocation of that size.
+	hostile := append([]byte(nil), full[:headerLen(ds)]...)
+	hostile = append(hostile, 0xff, 0xff, 0xff, 0xff)
+	if _, err := Read(bytes.NewReader(hostile)); err == nil || !strings.Contains(err.Error(), "implausible blob size") {
+		t.Errorf("oversized blob length: err = %v, want implausible blob size", err)
 	}
 }
 

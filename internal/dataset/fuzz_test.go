@@ -9,8 +9,9 @@ import (
 )
 
 // FuzzRead checks the binary dataset reader never panics on corrupted
-// input — truncations, bit flips, and adversarial headers all must
-// surface as errors.
+// input — truncations, bit flips, adversarial headers and blob lengths
+// all must surface as errors. The checked-in corpus still holds
+// retired version-1 files: they must keep failing cleanly.
 func FuzzRead(f *testing.F) {
 	suite := datagen.NewSuite(3, 0.01)
 	b := april.NewBuilder(suite.Space, 9)
@@ -30,6 +31,13 @@ func FuzzRead(f *testing.F) {
 	corrupted := append([]byte(nil), valid...)
 	corrupted[10] ^= 0xff
 	f.Add(corrupted)
+	// First object's geometry blob length blown past the cap, and its
+	// ring count zeroed (the blob framing is intact, the polygon is not).
+	hdr := headerLen(ds)
+	f.Add(append(append([]byte(nil), valid[:hdr]...), 0xff, 0xff, 0xff, 0x7f))
+	noRings := append([]byte(nil), valid...)
+	copy(noRings[hdr+4:], []byte{0, 0, 0, 0})
+	f.Add(noRings)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Read(bytes.NewReader(data))
 		if err != nil {

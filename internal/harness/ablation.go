@@ -49,9 +49,9 @@ func GridOrderAblation(seed int64, scale float64, orders []uint) ([]GridAblation
 		build := time.Since(start)
 
 		idPairs := join.Pairs(left.MBRs(), right.MBRs())
-		pairs := make([]Pair, len(idPairs))
+		pairs := make([]core.Pair, len(idPairs))
 		for i, p := range idPairs {
-			pairs[i] = Pair{R: left.Objects[p[0]], S: right.Objects[p[1]]}
+			pairs[i] = core.Pair{R: left.Objects[p[0]], S: right.Objects[p[1]]}
 		}
 		st := RunFindRelation(core.PC, pairs)
 		meets := 0
@@ -75,8 +75,8 @@ func GridOrderAblation(seed int64, scale float64, orders []uint) ([]GridAblation
 // StripProgressive returns copies of the pairs with empty P lists: the
 // C-only variant that reduces P+C to APRIL-style evidence (plus
 // candidate narrowing).
-func StripProgressive(pairs []Pair) []Pair {
-	out := make([]Pair, len(pairs))
+func StripProgressive(pairs []core.Pair) []core.Pair {
+	out := make([]core.Pair, len(pairs))
 	cache := make(map[*core.Object]*core.Object)
 	strip := func(o *core.Object) *core.Object {
 		if c, ok := cache[o]; ok {
@@ -88,7 +88,7 @@ func StripProgressive(pairs []Pair) []Pair {
 		return c
 	}
 	for i, p := range pairs {
-		out[i] = Pair{R: strip(p.R), S: strip(p.S)}
+		out[i] = core.Pair{R: strip(p.R), S: strip(p.S)}
 	}
 	return out
 }
@@ -97,8 +97,8 @@ func StripProgressive(pairs []Pair) []Pair {
 // intermediate filters only to narrow the candidate masks, always
 // refining (except for the MBR shortcuts) — isolating how much of P+C's
 // win comes from skipped refinements rather than fewer mask checks.
-func RunNarrowingOnly(pairs []Pair) MethodStats {
-	st := MethodStats{Method: core.PC, Pairs: len(pairs)}
+func RunNarrowingOnly(pairs []core.Pair) core.MethodStats {
+	st := core.MethodStats{Method: core.PC, Pairs: len(pairs)}
 	start := time.Now()
 	for _, p := range pairs {
 		c := mbrrel.Classify(p.R.MBR, p.S.MBR)

@@ -44,7 +44,7 @@ func (e *Env) DataAccess(cacheSize int) ([]DataAccessRow, error) {
 	lite := func(o *core.Object) *core.Object {
 		return &core.Object{ID: o.ID, MBR: o.MBR, Approx: o.Approx}
 	}
-	litePairs := make([]Pair, len(pairs))
+	litePairs := make([]core.Pair, len(pairs))
 	liteCache := make(map[*core.Object]*core.Object)
 	get := func(o *core.Object) *core.Object {
 		if l, ok := liteCache[o]; ok {
@@ -55,7 +55,7 @@ func (e *Env) DataAccess(cacheSize int) ([]DataAccessRow, error) {
 		return l
 	}
 	for i, p := range pairs {
-		litePairs[i] = Pair{R: get(p.R), S: get(p.S)}
+		litePairs[i] = core.Pair{R: get(p.R), S: get(p.S)}
 	}
 
 	rows := make([]DataAccessRow, 0, core.NumMethods)
@@ -93,4 +93,19 @@ func (e *Env) DataAccess(cacheSize int) ([]DataAccessRow, error) {
 		})
 	}
 	return rows, nil
+}
+
+// UniqueObjectsRefined counts how many distinct objects of each side had
+// their exact geometry accessed (refined pairs touch both geometries):
+// the data-access saving reported in Sec. 4.3.
+func UniqueObjectsRefined(m core.Method, pairs []core.Pair) (left, right int) {
+	ls := make(map[int]bool)
+	rs := make(map[int]bool)
+	for _, p := range pairs {
+		if core.FindRelation(m, p.R, p.S).Refined {
+			ls[p.R.ID] = true
+			rs[p.S.ID] = true
+		}
+	}
+	return len(ls), len(rs)
 }

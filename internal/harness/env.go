@@ -5,6 +5,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/april"
@@ -22,12 +23,24 @@ type Env struct {
 	Builder  *april.Builder
 	Datasets map[string]*dataset.Dataset
 
-	pairCache map[string][]Pair
+	pairCache map[string][]core.Pair
 }
 
-// Pair is one candidate pair produced by the MBR join filter step.
-type Pair struct {
-	R, S *core.Object
+// Kept for frozen bench/; delete when bench/ is next editable.
+type Pair = core.Pair
+
+// Kept for frozen bench/; delete when bench/ is next editable.
+var RunFindRelationParallelCtx = core.RunFindRelation
+
+// RunFindRelation is the serial sweep the experiments time: the single
+// runner with one worker. A pair panic crashes the experiment, as the
+// barrier-less serial loop it replaces did.
+func RunFindRelation(m core.Method, pairs []core.Pair) core.MethodStats {
+	st, err := core.RunFindRelation(context.Background(), m, pairs, 1, nil)
+	if err != nil {
+		panic(err)
+	}
+	return st
 }
 
 // NewEnv generates the suite and precomputes every dataset.
@@ -40,7 +53,7 @@ func NewEnv(seed int64, scale float64, order uint) (*Env, error) {
 		Suite:     suite,
 		Builder:   b,
 		Datasets:  make(map[string]*dataset.Dataset, len(suite.Sets)),
-		pairCache: make(map[string][]Pair),
+		pairCache: make(map[string][]core.Pair),
 	}
 	for name, polys := range suite.Sets {
 		ds, err := dataset.Precompute(name, datagen.EntityTypes[name], polys, b)
@@ -55,7 +68,7 @@ func NewEnv(seed int64, scale float64, order uint) (*Env, error) {
 // CandidatePairs runs the spatial-join filter step for a dataset
 // combination and returns the MBR-intersecting pairs. Results are cached:
 // the paper excludes this step's cost from all measurements.
-func (e *Env) CandidatePairs(combo [2]string) ([]Pair, error) {
+func (e *Env) CandidatePairs(combo [2]string) ([]core.Pair, error) {
 	key := datagen.ComboName(combo)
 	if cached, ok := e.pairCache[key]; ok {
 		return cached, nil
@@ -69,16 +82,10 @@ func (e *Env) CandidatePairs(combo [2]string) ([]Pair, error) {
 		return nil, fmt.Errorf("harness: unknown dataset %q", combo[1])
 	}
 	idPairs := join.Pairs(left.MBRs(), right.MBRs())
-	pairs := make([]Pair, len(idPairs))
+	pairs := make([]core.Pair, len(idPairs))
 	for i, p := range idPairs {
-		pairs[i] = Pair{R: left.Objects[p[0]], S: right.Objects[p[1]]}
+		pairs[i] = core.Pair{R: left.Objects[p[0]], S: right.Objects[p[1]]}
 	}
 	e.pairCache[key] = pairs
 	return pairs, nil
-}
-
-// Complexity returns the complexity of a pair: the sum of the two
-// objects' vertex counts (Sec. 4.3).
-func (p Pair) Complexity() int {
-	return p.R.Poly.NumVertices() + p.S.Poly.NumVertices()
 }

@@ -63,7 +63,7 @@ func (e *Env) Table3() ([]Table3Row, error) {
 // (Fig. 7a) and undetermined percentage (Fig. 7b).
 type Fig7Row struct {
 	Combo string
-	Stats [core.NumMethods]MethodStats
+	Stats [core.NumMethods]core.MethodStats
 }
 
 // Fig7 sweeps all four methods over every combination.
@@ -88,13 +88,13 @@ func (e *Env) Fig7() ([]Fig7Row, error) {
 type ComplexityLevel struct {
 	Level      int // 1-based
 	MinV, MaxV int // complexity range (sum of vertex counts)
-	Pairs      []Pair
+	Pairs      []core.Pair
 }
 
 // SplitComplexity divides pairs into n levels of (near) equal population
 // by ascending complexity, as in Table 4.
-func SplitComplexity(pairs []Pair, n int) []ComplexityLevel {
-	sorted := make([]Pair, len(pairs))
+func SplitComplexity(pairs []core.Pair, n int) []ComplexityLevel {
+	sorted := make([]core.Pair, len(pairs))
 	copy(sorted, pairs)
 	sort.Slice(sorted, func(i, j int) bool {
 		return sorted[i].Complexity() < sorted[j].Complexity()

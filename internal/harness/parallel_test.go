@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -17,7 +16,18 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	seq := RunFindRelation(core.PC, pairs)
 	for _, workers := range []int{1, 2, 7, 0} {
-		par, _ := RunFindRelationParallel(core.PC, pairs, workers)
+		// The visitor sees every pair exactly once.
+		visited := make([]int32, len(pairs))
+		par, err := core.RunFindRelation(context.Background(), core.PC, pairs, workers,
+			func(i int, _ core.Result) { atomic.AddInt32(&visited[i], 1) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, n := range visited {
+			if n != 1 {
+				t.Fatalf("workers=%d: pair %d visited %d times", workers, i, n)
+			}
+		}
 		if par.Relations != seq.Relations {
 			t.Fatalf("workers=%d: relation histogram differs\nseq: %v\npar: %v",
 				workers, seq.Relations, par.Relations)
@@ -43,7 +53,7 @@ func TestParallelStageTimers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _ := RunFindRelationParallel(core.PC, pairs, 4)
+	par, _ := core.RunFindRelation(context.Background(), core.PC, pairs, 4, nil)
 	if par.FilterTime <= 0 {
 		t.Errorf("parallel FilterTime = %v, must be populated", par.FilterTime)
 	}
@@ -56,46 +66,6 @@ func TestParallelStageTimers(t *testing.T) {
 	}
 }
 
-func TestParallelSpeedup(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("single CPU")
-	}
-	pairs, err := env(t).CandidatePairs(ComplexityCombo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// OP2 refines everything, so it parallelizes near-linearly; allow a
-	// loose bound to keep the test robust on loaded machines.
-	seq, _ := RunFindRelationParallel(core.OP2, pairs, 1)
-	par, _ := RunFindRelationParallel(core.OP2, pairs, 0)
-	if par.Elapsed >= seq.Elapsed {
-		t.Errorf("no speedup: sequential %v, parallel %v", seq.Elapsed, par.Elapsed)
-	}
-}
-
-// TestParallelCtxVisit: the visitor sees every pair exactly once and the
-// visited results agree with the serial sweep.
-func TestParallelCtxVisit(t *testing.T) {
-	pairs, err := env(t).CandidatePairs(ComplexityCombo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	visited := make([]int32, len(pairs))
-	st, err := RunFindRelationParallelCtx(context.Background(), core.PC, pairs, 4,
-		func(i int, res core.Result) { atomic.AddInt32(&visited[i], 1) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Pairs != len(pairs) {
-		t.Fatalf("Pairs = %d, want %d", st.Pairs, len(pairs))
-	}
-	for i, n := range visited {
-		if n != 1 {
-			t.Fatalf("pair %d visited %d times", i, n)
-		}
-	}
-}
-
 // TestParallelCtxCancelled: a cancelled sweep must stop early, return the
 // context error, and report only the pairs it actually evaluated.
 func TestParallelCtxCancelled(t *testing.T) {
@@ -105,7 +75,7 @@ func TestParallelCtxCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var seen atomic.Int64
-	st, err := RunFindRelationParallelCtx(ctx, core.PC, pairs, 2,
+	st, err := core.RunFindRelation(ctx, core.PC, pairs, 2,
 		func(i int, res core.Result) {
 			if seen.Add(1) == 4 {
 				cancel()
@@ -123,57 +93,41 @@ func TestParallelCtxCancelled(t *testing.T) {
 
 	pre, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	st, err = RunFindRelationParallelCtx(pre, core.PC, pairs, 4, nil)
+	st, err = core.RunFindRelation(pre, core.PC, pairs, 4, nil)
 	if !errors.Is(err, context.Canceled) || st.Pairs != 0 {
 		t.Fatalf("pre-cancelled sweep: pairs=%d err=%v", st.Pairs, err)
 	}
 }
 
-func TestParallelEmptyAndTiny(t *testing.T) {
-	st, _ := RunFindRelationParallel(core.PC, nil, 4)
-	if st.Pairs != 0 || st.Undetermined != 0 {
-		t.Errorf("empty input: %+v", st)
-	}
-	pairs, err := env(t).CandidatePairs(ComplexityCombo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one := pairs[:1]
-	st, _ = RunFindRelationParallel(core.PC, one, 8)
-	if st.Pairs != 1 {
-		t.Errorf("single pair: %+v", st)
-	}
-}
-
 // TestParallelPanicIsolated: a pair whose evaluation panics (here: a
 // poisoned object with nil geometry forced into refinement) must come
-// back as a *PanicError — not a process crash, not a deadlocked
+// back as a *core.PanicError — not a process crash, not a deadlocked
 // wg.Wait — and every healthy pair must still be evaluated.
 func TestParallelPanicIsolated(t *testing.T) {
 	pairs, err := env(t).CandidatePairs(ComplexityCombo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, _ := RunFindRelationParallel(core.OP2, pairs, 4)
+	clean, _ := core.RunFindRelation(context.Background(), core.OP2, pairs, 4, nil)
 
-	poisoned := make([]Pair, len(pairs))
+	poisoned := make([]core.Pair, len(pairs))
 	copy(poisoned, pairs)
 	// A fresh Object (never copy one: it caches its Prepared behind a
 	// sync.Once) with the same filter inputs but no geometry: OP2 always
 	// refines, and refining a nil polygon panics.
 	bad := &core.Object{ID: pairs[3].R.ID, MBR: pairs[3].R.MBR, Approx: pairs[3].R.Approx}
-	poisoned[3] = Pair{R: bad, S: pairs[3].S}
+	poisoned[3] = core.Pair{R: bad, S: pairs[3].S}
 
-	st, err := RunFindRelationParallel(core.OP2, poisoned, 4)
-	var pe *PanicError
+	st, err := core.RunFindRelation(context.Background(), core.OP2, poisoned, 4, nil)
+	var pe *core.PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PanicError", err)
+		t.Fatalf("err = %v, want *core.PanicError", err)
 	}
-	if pe.Count != 1 || pe.Index != 3 {
-		t.Fatalf("PanicError = count %d index %d, want 1/3", pe.Count, pe.Index)
+	if len(pe.Pairs) != 1 || pe.Pairs[0].Index != 3 {
+		t.Fatalf("PanicError = count %d index %d, want 1/3", len(pe.Pairs), pe.Pairs[0].Index)
 	}
-	if pe.Value == nil || pe.Stack == "" {
-		t.Fatalf("PanicError missing evidence: value=%v stack %d bytes", pe.Value, len(pe.Stack))
+	if pe.Pairs[0].Value == nil || pe.Stack == "" {
+		t.Fatalf("PanicError missing evidence: value=%v stack %d bytes", pe.Pairs[0].Value, len(pe.Stack))
 	}
 	if st.Pairs != clean.Pairs-1 {
 		t.Fatalf("swept %d pairs, want %d (all but the poisoned one)", st.Pairs, clean.Pairs-1)
@@ -182,10 +136,18 @@ func TestParallelPanicIsolated(t *testing.T) {
 	// Several poisoned pairs: all recovered, count accumulates.
 	for _, i := range []int{0, 5, 9} {
 		b := &core.Object{ID: pairs[i].R.ID, MBR: pairs[i].R.MBR, Approx: pairs[i].R.Approx}
-		poisoned[i] = Pair{R: b, S: pairs[i].S}
+		poisoned[i] = core.Pair{R: b, S: pairs[i].S}
 	}
-	_, err = RunFindRelationParallel(core.OP2, poisoned, 4)
-	if !errors.As(err, &pe) || pe.Count != 4 {
+	_, err = core.RunFindRelation(context.Background(), core.OP2, poisoned, 4, nil)
+	if !errors.As(err, &pe) || len(pe.Pairs) != 4 {
 		t.Fatalf("4 poisoned pairs: err = %v", err)
+	}
+	// Every panicking pair is listed (the server dumps each as a repro).
+	listed := map[int]bool{}
+	for _, pp := range pe.Pairs {
+		listed[pp.Index] = pp.Value != nil
+	}
+	if !listed[0] || !listed[3] || !listed[5] || !listed[9] {
+		t.Fatalf("panicked pairs = %+v", pe.Pairs)
 	}
 }

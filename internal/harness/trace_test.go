@@ -23,7 +23,7 @@ func TestSlowPairTracking(t *testing.T) {
 		t.Fatalf("serial slow pair index %d out of range", serial.SlowPair)
 	}
 
-	par, err := RunFindRelationParallel(core.PC, pairs, 4)
+	par, err := core.RunFindRelation(context.Background(), core.PC, pairs, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestParallelSweepWorkerSpans(t *testing.T) {
 	}
 	tr := trace.New(trace.Config{Sample: 1, Capacity: 4, MaxSpans: 1 << 16})
 	ctx, root := tr.Start(context.Background(), "sweep")
-	if _, err := RunFindRelationParallelCtx(ctx, core.PC, pairs, 4, nil); err != nil {
+	if _, err := core.RunFindRelation(ctx, core.PC, pairs, 4, nil); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -97,7 +97,7 @@ func TestParallelSweepUnsampledOverheadPath(t *testing.T) {
 	}
 	tr := trace.New(trace.Config{Sample: 0, Capacity: 4})
 	ctx, root := tr.Start(context.Background(), "sweep")
-	st, err := RunFindRelationParallelCtx(ctx, core.PC, pairs, 4, nil)
+	st, err := core.RunFindRelation(ctx, core.PC, pairs, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

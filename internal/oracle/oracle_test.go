@@ -13,7 +13,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/de9im"
 	"repro/internal/geom"
-	"repro/internal/harness"
 	"repro/internal/server"
 	"repro/internal/wkt"
 )
@@ -169,18 +168,18 @@ func TestHarnessParallelAgainstOracle(t *testing.T) {
 		}
 		objs[i] = o
 	}
-	var hp []harness.Pair
+	var hp []core.Pair
 	var want []de9im.Relation
 	for i := 0; i < len(objs) && len(hp) < 400; i++ {
 		for j := i + 1; j < len(objs) && len(hp) < 400; j++ {
-			hp = append(hp, harness.Pair{R: objs[i], S: objs[j]})
+			hp = append(hp, core.Pair{R: objs[i], S: objs[j]})
 			want = append(want, MostSpecific(single(objs[i].Poly), single(objs[j].Poly)))
 		}
 	}
 	for _, m := range []core.Method{core.PC, core.APRIL} {
 		var mu sync.Mutex
 		var bad []string
-		_, err := harness.RunFindRelationParallelCtx(context.Background(), m, hp, 4,
+		_, err := core.RunFindRelation(context.Background(), m, hp, 4,
 			func(i int, res core.Result) {
 				if res.Relation != want[i] {
 					mu.Lock()

@@ -15,14 +15,40 @@ import (
 	"repro/internal/trace"
 )
 
-// probeMode selects what a relate probe evaluates per candidate.
-type probeMode uint8
+// pairTest is what a relate or join request asks of each candidate
+// pair: its most specific relation (Algorithm 1) when holds is nil, else
+// whether a relate_p predicate or an arbitrary DE-9IM mask holds.
+type pairTest struct {
+	holds func(m core.Method, r, s *core.Object) core.RelateResult
+	// relation names a holding pair's relation in the response: the
+	// predicate's name, empty for a mask.
+	relation string
+}
 
-const (
-	modeFind probeMode = iota // most specific relation (Algorithm 1)
-	modePred                  // relate_p predicate
-	modeMask                  // arbitrary DE-9IM mask
-)
+// parsePairTest maps a request's predicate/mask fields to its test.
+func parsePairTest(predicate, mask string) (pairTest, error) {
+	switch {
+	case predicate != "" && mask != "":
+		return pairTest{}, errf(http.StatusBadRequest, "give predicate or mask, not both")
+	case predicate != "":
+		pred, err := parseRelation(predicate)
+		if err != nil {
+			return pairTest{}, err
+		}
+		return pairTest{relation: pred.String(), holds: func(m core.Method, r, s *core.Object) core.RelateResult {
+			return core.RelatePred(m, r, s, pred)
+		}}, nil
+	case mask != "":
+		dm, err := de9im.ParseMask(mask)
+		if err != nil {
+			return pairTest{}, errf(http.StatusBadRequest, "mask: %v", err)
+		}
+		return pairTest{holds: func(m core.Method, r, s *core.Object) core.RelateResult {
+			return core.RelateMask(m, r, s, dm)
+		}}, nil
+	}
+	return pairTest{}, nil
+}
 
 // probeJob is one relate probe in flight through the batcher. The
 // dispatcher always delivers exactly one probeResult on done (buffered),
@@ -32,10 +58,8 @@ type probeJob struct {
 	entry *Entry
 	probe *core.Object
 
-	mode   probeMode
+	test   pairTest
 	method core.Method
-	pred   de9im.Relation
-	mask   de9im.Mask
 	limit  int
 	// owns, when non-nil, is the shard-mode ownership filter: probe ×
 	// candidate combinations whose reference point lies outside the
@@ -92,8 +116,8 @@ func (j *probeJob) addMatch(m RelateMatch) {
 // batcher micro-batches concurrent relate probes: jobs arriving within
 // batchWindow of each other (up to maxBatch) are grouped, jobs against
 // the same dataset are flattened into one (probe × candidate) task list,
-// and the whole group is swept by a single chunk-stealing worker pool —
-// so N concurrent probes cost one pool pass, not N goroutine fan-outs.
+// and the whole group is swept by one pass of the core executor — so N
+// concurrent probes cost one pool pass, not N goroutine fan-outs.
 // A lone request pays at most batchWindow of extra latency; under load
 // the channel is never empty and the window barely waits.
 type batcher struct {
@@ -104,8 +128,7 @@ type batcher struct {
 
 	batches   *obs.Counter
 	batchSize *obs.Histogram
-	// onPanic records a recovered per-task panic (counter + repro dump);
-	// nil in tests that build a bare batcher.
+	// onPanic records a recovered per-task panic (counter + repro dump).
 	onPanic func(tag string, r, o *core.Object, rv any)
 }
 
@@ -164,7 +187,7 @@ func (b *batcher) drainFailed(ctx context.Context) {
 }
 
 // process groups the batch by dataset and sweeps each group with one
-// shared worker pool over the flattened (probe, candidate) tasks.
+// shared executor pass over the flattened (probe, candidate) tasks.
 func (b *batcher) process(batch []*probeJob) {
 	b.batches.Inc()
 	groups := make(map[*Entry][]*probeJob)
@@ -229,58 +252,24 @@ func (b *batcher) processGroup(jobs []*probeJob) {
 	}
 }
 
-// sweep runs the task list on a chunk-stealing worker pool, the same
-// shape as the harness's parallel find-relation sweep.
+// sweep runs the task list on the core executor. One sweep serves many
+// probes, so cancellation is per probe (an expired probe's remaining
+// tasks are skipped), not per sweep; a panicking candidate fails only
+// its own probe (recorded on the job), and the rest of the batch — other
+// probes sharing the same sweep included — completes normally.
 func (b *batcher) sweep(tasks []task) {
-	workers := b.workers
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	const chunk = 16
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(cursor.Add(chunk)) - chunk
-				if lo >= len(tasks) {
-					return
-				}
-				hi := lo + chunk
-				if hi > len(tasks) {
-					hi = len(tasks)
-				}
-				for _, t := range tasks[lo:hi] {
-					if t.job.ctx.Err() != nil {
-						continue // expired probe: skip its remaining work
-					}
-					b.evalTaskGuarded(t)
-				}
+	core.Sweep(context.Background(), len(tasks), b.workers, func(*trace.Span) core.SweepBody {
+		return func(i int) time.Duration {
+			if t := tasks[i]; t.job.ctx.Err() == nil {
+				evalTask(t)
 			}
-		}()
-	}
-	wg.Wait()
-}
-
-// evalTaskGuarded runs one probe-candidate evaluation behind a recover
-// barrier: a panicking candidate fails only its own probe (recorded on
-// the job), the rest of the batch — other probes sharing the same sweep
-// included — completes normally.
-func (b *batcher) evalTaskGuarded(t task) {
-	defer func() {
-		if rv := recover(); rv != nil {
-			t.job.panicked.Add(1)
-			if b.onPanic != nil {
-				b.onPanic("relate", t.job.probe, t.obj, rv)
-			}
+			return 0 // the slowest candidate is tracked per probe, on the job
 		}
-	}()
-	evalTask(t)
+	}, func(i int, rv any, _ string) {
+		t := tasks[i]
+		t.job.panicked.Add(1)
+		b.onPanic("relate", t.job.probe, t.obj, rv)
+	})
 }
 
 func evalTask(t task) {
@@ -298,24 +287,15 @@ func evalTask(t task) {
 			filter, refineDur = f, r
 		})
 	}
-	switch j.mode {
-	case modePred:
-		rr := core.RelatePred(j.method, j.probe, t.obj, j.pred)
+	if j.test.holds != nil {
+		rr := j.test.holds(j.method, j.probe, t.obj)
 		if rr.Refined {
 			j.refined.Add(1)
 		}
 		if rr.Holds {
-			j.addMatch(RelateMatch{ID: t.obj.ID, Relation: j.pred.String()})
+			j.addMatch(RelateMatch{ID: t.obj.ID, Relation: j.test.relation})
 		}
-	case modeMask:
-		rr := core.RelateMask(j.method, j.probe, t.obj, j.mask)
-		if rr.Refined {
-			j.refined.Add(1)
-		}
-		if rr.Holds {
-			j.addMatch(RelateMatch{ID: t.obj.ID})
-		}
-	default: // modeFind
+	} else {
 		res := core.FindRelationObserved(j.method, j.probe, t.obj, sink)
 		if res.Refined {
 			j.refined.Add(1)

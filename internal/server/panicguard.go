@@ -1,9 +1,9 @@
 // Panic isolation for the serving path. A panic while evaluating one
 // geometry pair — degenerate input, a pipeline bug, an injected fault —
-// must cost exactly that pair's request, never the process: the worker
-// pools here and in the harness recover at pair granularity, the HTTP
-// middleware recovers whatever leaks past them, and every recovered
-// pair is counted and dumped as a WKT repro case in the oracle's
+// must cost exactly that pair's request, never the process: the core
+// sweep executor recovers at pair granularity, the HTTP middleware
+// recovers whatever leaks past it, and every recovered pair is counted
+// and dumped as a WKT repro case in the oracle's
 // regression-corpus format so the crash becomes a replayable test.
 package server
 
@@ -24,12 +24,7 @@ import (
 // and (when Config.ReproDir is set) a WKT dump of the offending pair.
 func (s *Server) pairPanic(tag string, r, o *core.Object, rv any) {
 	s.met.Counter("server_pair_panics_total").Inc()
-	path := dumpReproPair(s.cfg.ReproDir, tag, r, o, rv)
-	if path != "" {
-		s.logf("server: pair panic in %s: %v (repro dumped to %s)", tag, rv, path)
-	} else {
-		s.logf("server: pair panic in %s: %v", tag, rv)
-	}
+	s.logf("server: pair panic in %s: %v (repro dump: %q)", tag, rv, dumpReproPair(s.cfg.ReproDir, tag, r, o, rv))
 }
 
 // dumpReproPair writes the pair's geometries in the oracle regression
@@ -57,19 +52,6 @@ func dumpReproPair(dir, tag string, r, o *core.Object, rv any) string {
 		return ""
 	}
 	return path
-}
-
-// guardPair runs fn behind a recover barrier and reports whether it
-// panicked; the panic is recorded via pairPanic.
-func (s *Server) guardPair(tag string, r, o *core.Object, fn func()) (panicked bool) {
-	defer func() {
-		if rv := recover(); rv != nil {
-			panicked = true
-			s.pairPanic(tag, r, o, rv)
-		}
-	}()
-	fn()
-	return false
 }
 
 // handlerPanic records a panic that escaped every per-pair guard and

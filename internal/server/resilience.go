@@ -108,11 +108,9 @@ func (g *Registry) register(name, entity string, polys []*geom.Polygon) (*Entry,
 //
 // Epoch-0 snapshots describe exactly what a source build would produce,
 // so they are additionally checked against the (owned subset of the)
-// source polygons object by object — v1 snapshots store objects
-// positionally, and in shard mode the decoded ids are remapped to the
-// global ids recomputed from source; the per-object MBR comparison
-// rejects a snapshot of a different subset (e.g. one written under
-// another key range).
+// source polygons object by object: the per-object id and MBR
+// comparison rejects a snapshot of a different subset (e.g. one written
+// under another key range).
 //
 // Epoch-N snapshots (N > 0) carry mutations the source files never saw:
 // the snapshot is the *newer* truth, fully checksummed, so it is
@@ -136,10 +134,9 @@ func (g *Registry) tryWarmStart(name, entity string, snap *snapshot.Snapshot, po
 			return nil, false
 		}
 		for j, o := range ds.Objects {
-			if o.MBR != polys[j].Bounds() {
+			if o.ID != gid(ids, j) || o.MBR != polys[j].Bounds() {
 				return nil, false
 			}
-			o.ID = gid(ids, j)
 		}
 	}
 	e := indexEntry(&Entry{

@@ -17,6 +17,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/shard"
 	"repro/internal/snapshot"
 )
 
@@ -119,7 +120,82 @@ func TestSnapshotWarmStartSkipsRasterization(t *testing.T) {
 	}
 }
 
+// TestShardWarmStartChecksGlobalIDs: a shard's snapshot stores the
+// global ids of the subset it owns, and a warm start accepts it only
+// when they match the subset recomputed from source — a snapshot
+// written under another key range is stale, not remapped.
+func TestShardWarmStartChecksGlobalIDs(t *testing.T) {
+	dir := t.TempDir()
+	start := func(kr shard.KeyRange) (*Entry, *obs.Registry) {
+		asg, err := shard.NewAssignment(resSpace, 4, 0, kr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		met := obs.NewRegistry()
+		reg := NewRegistry(resSpace, resOrder)
+		reg.Instrument(met)
+		reg.SetShard(asg)
+		if err := reg.EnableSnapshots(dir); err != nil {
+			t.Fatal(err)
+		}
+		e, err := reg.Register("grid", "squares", resPolys())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e, met
+	}
+	cold, _ := start(shard.KeyRange{Lo: 128, Hi: 256})
+	if n := len(cold.Dataset.Objects); n == 0 || n == len(resPolys()) || cold.Dataset.Objects[0].ID == 0 {
+		t.Fatalf("fixture: shard owns %d of %d objects, first id %d; want a proper subset with sparse ids",
+			n, len(resPolys()), cold.Dataset.Objects[0].ID)
+	}
+	warm, met := start(shard.KeyRange{Lo: 128, Hi: 256})
+	if got := met.Counter("server_snapshot_loads_total").Value(); got != 1 {
+		t.Fatalf("same key range: snapshot loads = %d, want 1", got)
+	}
+	for i, o := range warm.Dataset.Objects {
+		if o.ID != cold.Dataset.Objects[i].ID {
+			t.Fatalf("object %d warm-started with id %d, cold build had %d", i, o.ID, cold.Dataset.Objects[i].ID)
+		}
+	}
+	if _, met := start(shard.KeyRange{Lo: 0, Hi: 128}); met.Counter("server_snapshot_loads_total").Value() != 0 {
+		t.Fatal("snapshot of another key range was warm-started")
+	}
+}
+
+// TestCorruptSnapshotQuarantineDegradedRecover drives the one recovery
+// path every unreadable snapshot takes — a flipped bit, or a file of a
+// retired format version (1 and 2 are no longer read): quarantine,
+// degraded serving with unchanged answers, background rebuild.
 func TestCorruptSnapshotQuarantineDegradedRecover(t *testing.T) {
+	setVersion := func(ver byte, reason string) func(string) string {
+		return func(path string) string {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[4], data[5] = ver, 0 // u16 after the magic
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return reason
+		}
+	}
+	for name, damage := range map[string]func(path string) (reason string){
+		"bitflip": func(path string) string {
+			if err := fault.FlipBit(path, 200, 3); err != nil {
+				t.Fatal(err)
+			}
+			return "checksum mismatch"
+		},
+		"retired-v1": setVersion(1, "unsupported version 1"),
+		"retired-v2": setVersion(2, "unsupported version 2"),
+	} {
+		t.Run(name, func(t *testing.T) { corruptSnapshotDrill(t, damage) })
+	}
+}
+
+func corruptSnapshotDrill(t *testing.T, damage func(path string) (reason string)) {
 	defer fault.Reset()
 	dir := t.TempDir()
 	reg1, _ := resRegistry(t, dir)
@@ -128,8 +204,9 @@ func TestCorruptSnapshotQuarantineDegradedRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fault.FlipBit(path, 200, 3); err != nil {
-		t.Fatal(err)
+	reason := damage(path)
+	if _, err := snapshot.Read(path); !snapshot.IsCorrupt(err) || !strings.Contains(err.Error(), reason) {
+		t.Fatalf("damaged snapshot reads as %v, want corruption (%s)", err, reason)
 	}
 
 	// Hold the rebuild open long enough to observe degraded serving.
@@ -395,6 +472,7 @@ func TestRelatePanicIsolatedOverHTTP(t *testing.T) {
 	}
 	e, _ := reg.Get("grid")
 	e.Dataset.Objects[0].Poly = nil // poison: Refine will nil-deref
+	e.Dataset.Objects[1].Poly = nil
 
 	svc := New(reg, Config{ReproDir: reproDir, Logf: t.Logf, Metrics: met})
 	ts := httptest.NewServer(svc.Handler())
@@ -437,13 +515,34 @@ func TestRelatePanicIsolatedOverHTTP(t *testing.T) {
 		t.Fatal("healthy probe found nothing")
 	}
 
-	// Same drill for the join path (per-pair guard in the harness sweep).
+	// Same drill for the join path (per-pair guard in the core executor).
 	if _, err := reg.register("grid2", "squares", resPolys()); err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Join(ctx, JoinRequest{Left: "grid", Right: "grid2", Method: "ST2"})
-	if !errors.As(err, &api) || api.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("poisoned join: err = %v, want 500", err)
+	// Panic accounting is uniform across join flavours: every candidate
+	// pair that hits the poison is counted once, whichever body ran it.
+	e2, _ := reg.Get("grid2")
+	poisonedPairs := int64(0)
+	for _, o := range e2.Dataset.Objects {
+		for _, bad := range e.Dataset.Objects[:2] {
+			if o.MBR.Intersects(bad.MBR) {
+				poisonedPairs++
+			}
+		}
+	}
+	for _, req := range []JoinRequest{
+		{Left: "grid", Right: "grid2", Method: "ST2"},
+		{Left: "grid", Right: "grid2", Method: "ST2", Predicate: "intersects"},
+		{Left: "grid", Right: "grid2", Method: "ST2", Mask: "T*F**F***"},
+	} {
+		before := met.Counter("server_pair_panics_total").Value()
+		_, err = c.Join(ctx, req)
+		if !errors.As(err, &api) || api.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("poisoned join %+v: err = %v, want 500", req, err)
+		}
+		if got := met.Counter("server_pair_panics_total").Value() - before; got != poisonedPairs || got < 2 {
+			t.Fatalf("poisoned join %+v counted %d pair panics, want %d (>= 2)", req, got, poisonedPairs)
+		}
 	}
 	if _, err := c.Health(ctx); err != nil {
 		t.Fatalf("server dead after poisoned join: %v", err)

@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/de9im"
 	"repro/internal/geom"
-	"repro/internal/harness"
 	"repro/internal/join"
 	"repro/internal/obs"
 	"repro/internal/shard"
@@ -568,19 +567,8 @@ func (s *Server) handleRelate(ctx context.Context, r *http.Request) (any, error)
 		owns:   s.owns,
 	}
 	job.track = rsp.Recording() || (s.slowThr > 0 && s.cfg.SlowDir != "")
-	switch {
-	case req.Predicate != "" && req.Mask != "":
-		return nil, errf(http.StatusBadRequest, "give predicate or mask, not both")
-	case req.Predicate != "":
-		if job.pred, err = parseRelation(req.Predicate); err != nil {
-			return nil, err
-		}
-		job.mode = modePred
-	case req.Mask != "":
-		if job.mask, err = de9im.ParseMask(req.Mask); err != nil {
-			return nil, errf(http.StatusBadRequest, "mask: %v", err)
-		}
-		job.mode = modeMask
+	if job.test, err = parsePairTest(req.Predicate, req.Mask); err != nil {
+		return nil, err
 	}
 	poly, err := probeGeometry(&req)
 	if err != nil {
@@ -669,8 +657,9 @@ func (s *Server) handleJoin(ctx context.Context, r *http.Request) (any, error) {
 		rsp.SetStr("degraded", "true")
 	}
 	rsp.SetStr("method", method.String())
-	if req.Predicate != "" && req.Mask != "" {
-		return nil, errf(http.StatusBadRequest, "give predicate or mask, not both")
+	test, err := parsePairTest(req.Predicate, req.Mask)
+	if err != nil {
+		return nil, err
 	}
 	limit := s.clampLimit(req.Limit)
 
@@ -687,7 +676,7 @@ func (s *Server) handleJoin(ctx context.Context, r *http.Request) (any, error) {
 	// Candidate generation: synchronized R-tree traversal over the two
 	// once-built indexes, abandoned mid-tree when the deadline expires.
 	csp := rsp.Child("candidates")
-	var pairs []harness.Pair
+	var pairs []core.Pair
 	err = join.JoinViews(rctx, left.View(), right.View(), func(aDelta, bDelta bool, a, b join.Entry) {
 		// Shard mode: skip candidate pairs this shard does not own
 		// under the reference-point rule — the shard holding the
@@ -696,7 +685,7 @@ func (s *Server) handleJoin(ctx context.Context, r *http.Request) (any, error) {
 		if s.owns != nil && !s.owns(a.Box, b.Box) {
 			return
 		}
-		pairs = append(pairs, harness.Pair{R: left.objAt(aDelta, a.ID), S: right.objAt(bDelta, b.ID)})
+		pairs = append(pairs, core.Pair{R: left.objAt(aDelta, a.ID), S: right.objAt(bDelta, b.ID)})
 	})
 	csp.SetInt("pairs", int64(len(pairs)))
 	csp.End()
@@ -722,52 +711,16 @@ func (s *Server) handleJoin(ctx context.Context, r *http.Request) (any, error) {
 	}
 
 	slowIdx, slowDur := -1, time.Duration(0)
-	switch {
-	case req.Predicate != "":
-		pred, perr := parseRelation(req.Predicate)
-		if perr != nil {
-			return nil, perr
-		}
-		slowIdx, slowDur, err = s.sweepPairs(rctx, pairs, func(p harness.Pair) {
-			rr := core.RelatePred(method, p.R, p.S, pred)
-			mu.Lock()
-			resp.Evaluated++
-			if rr.Refined {
-				resp.Refined++
-			}
-			if rr.Holds {
-				resp.Holds++
-			}
-			mu.Unlock()
-			if rr.Holds {
-				addPair(JoinPair{LeftID: p.R.ID, RightID: p.S.ID, Relation: pred.String()})
-			}
-		})
-	case req.Mask != "":
-		mask, merr := de9im.ParseMask(req.Mask)
-		if merr != nil {
-			return nil, errf(http.StatusBadRequest, "mask: %v", merr)
-		}
-		slowIdx, slowDur, err = s.sweepPairs(rctx, pairs, func(p harness.Pair) {
-			rr := core.RelateMask(method, p.R, p.S, mask)
-			mu.Lock()
-			resp.Evaluated++
-			if rr.Refined {
-				resp.Refined++
-			}
-			if rr.Holds {
-				resp.Holds++
-			}
-			mu.Unlock()
-			if rr.Holds {
-				addPair(JoinPair{LeftID: p.R.ID, RightID: p.S.ID})
-			}
-		})
-	default:
-		// Find-relation join: the harness's chunk-stealing parallel
-		// sweep, deadline-aware, publishing its stats into the registry.
-		var st harness.MethodStats
-		st, err = harness.RunFindRelationParallelCtx(rctx, method, pairs, s.cfg.JoinWorkers,
+	if test.holds != nil {
+		// relate_p and mask joins share one sweep body.
+		var res core.SweepResult
+		res, err = s.sweepRelate(rctx, pairs, method, test, &resp, addPair)
+		slowIdx, slowDur = res.SlowIndex, res.SlowTime
+	} else {
+		// Find-relation join: the core runner on the same executor,
+		// deadline-aware, publishing its stats into the registry.
+		var st core.MethodStats
+		st, err = core.RunFindRelation(rctx, method, pairs, s.cfg.JoinWorkers,
 			func(i int, res core.Result) {
 				if res.Relation != de9im.Disjoint {
 					addPair(JoinPair{
@@ -777,19 +730,15 @@ func (s *Server) handleJoin(ctx context.Context, r *http.Request) (any, error) {
 					})
 				}
 			})
-		var pe *harness.PanicError
+		var pe *core.PanicError
 		if errors.As(err, &pe) {
-			// The harness recovered the panic at pair granularity and
-			// swept everything else; surface it as a per-request error
-			// with the offending pair preserved as a repro case.
-			s.met.Counter("server_pair_panics_total").Add(int64(pe.Count))
-			p := pairs[pe.Index]
-			if path := dumpReproPair(s.cfg.ReproDir, "join-find", p.R, p.S, pe.Value); path != "" {
-				s.logf("server: %v (repro dumped to %s)", pe, path)
-			} else {
-				s.logf("server: %v", pe)
+			// The executor recovered the panics at pair granularity and
+			// swept everything else; surface them as a per-request error
+			// with every offending pair preserved as a repro case.
+			for _, pp := range pe.Pairs {
+				s.pairPanic("join-find", pairs[pp.Index].R, pairs[pp.Index].S, pp.Value)
 			}
-			err = errf(http.StatusInternalServerError, "%v", pe)
+			err = errPairPanics(len(pe.Pairs))
 		}
 		resp.Evaluated = st.Pairs
 		resp.Refined = st.Undetermined
@@ -823,89 +772,63 @@ func (s *Server) handleJoin(ctx context.Context, r *http.Request) (any, error) {
 	return resp, nil
 }
 
-// sweepPairs evaluates fn over the pairs with the shared worker-pool
-// shape, stopping at chunk granularity when ctx is done. Each pair runs
-// behind a recover barrier: a panicking pair is counted, repro-dumped
-// and reported as an error, and every other pair is still evaluated —
-// one poisonous geometry never kills the pool. When the request's trace
-// is sampled each worker gets a child span with per-pair spans under
-// it, and when either tracing or the slow-query log is armed the pairs
-// are individually timed so the sweep reports its slowest pair
-// (slowIdx -1, slowDur 0 when untracked or empty).
-func (s *Server) sweepPairs(ctx context.Context, pairs []harness.Pair, fn func(harness.Pair)) (slowIdx int, slowDur time.Duration, err error) {
-	workers := s.cfg.JoinWorkers
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	rsp := trace.FromContext(ctx)
-	track := rsp.Recording() || (s.slowThr > 0 && s.cfg.SlowDir != "")
-	const chunk = 16
-	var cursor atomic.Int64
-	var panicked atomic.Int64
-	var mu sync.Mutex // guards slowIdx, slowDur
-	slowIdx = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wsp := rsp.Child("sweep.worker")
-			wsp.SetInt("worker", int64(w))
-			swept := 0
-			localIdx, localDur := -1, time.Duration(0)
-			for {
-				lo := int(cursor.Add(chunk)) - chunk
-				if lo >= len(pairs) {
-					break
-				}
-				hi := lo + chunk
-				if hi > len(pairs) {
-					hi = len(pairs)
-				}
-				if ctx.Err() != nil {
-					continue
-				}
-				for i, p := range pairs[lo:hi] {
-					p := p
-					var t0 time.Time
-					if track {
-						t0 = time.Now()
-					}
-					if s.guardPair("join", p.R, p.S, func() { fn(p) }) {
-						panicked.Add(1)
-						continue
-					}
-					if track {
-						d := time.Since(t0)
-						if d > localDur {
-							localIdx, localDur = lo+i, d
-						}
-						if ps := wsp.ChildAt("pair", t0, d); ps != nil {
-							ps.SetInt("r_id", int64(p.R.ID))
-							ps.SetInt("s_id", int64(p.S.ID))
-						}
-					}
-				}
-				swept += hi - lo
+// sweepRelate evaluates a relate_p or mask join on the core executor:
+// addPair receives every pair the test holds for, and the
+// evaluated/refined/holds tallies — kept per worker, merged after the
+// pool drains — land in resp. A panicking pair is counted, repro-dumped
+// and fails the request. When tracing or the slow-query log is armed
+// the pairs are individually timed: the sweep reports its slowest pair
+// and a sampled trace gets per-pair spans under each worker span.
+func (s *Server) sweepRelate(ctx context.Context, pairs []core.Pair, method core.Method, test pairTest,
+	resp *JoinResponse, addPair func(JoinPair)) (core.SweepResult, error) {
+	type tally struct{ evaluated, refined, holds int }
+	var tallies []*tally
+	track := trace.FromContext(ctx).Recording() || (s.slowThr > 0 && s.cfg.SlowDir != "")
+	res := core.Sweep(ctx, len(pairs), s.cfg.JoinWorkers, func(wsp *trace.Span) core.SweepBody {
+		t := new(tally)
+		tallies = append(tallies, t)
+		return func(i int) time.Duration {
+			p := pairs[i]
+			var t0 time.Time
+			if track {
+				t0 = time.Now()
 			}
-			wsp.SetInt("pairs", int64(swept))
-			wsp.End()
-			if localDur > 0 {
-				mu.Lock()
-				if localDur > slowDur {
-					slowIdx, slowDur = localIdx, localDur
-				}
-				mu.Unlock()
+			rr := test.holds(method, p.R, p.S)
+			t.evaluated++
+			if rr.Refined {
+				t.refined++
 			}
-		}(w)
+			if rr.Holds {
+				t.holds++
+				addPair(JoinPair{LeftID: p.R.ID, RightID: p.S.ID, Relation: test.relation})
+			}
+			if !track {
+				return 0
+			}
+			d := time.Since(t0)
+			if ps := wsp.ChildAt("pair", t0, d); ps != nil {
+				ps.SetInt("r_id", int64(p.R.ID))
+				ps.SetInt("s_id", int64(p.S.ID))
+			}
+			return d
+		}
+	}, func(i int, v any, _ string) {
+		s.pairPanic("join", pairs[i].R, pairs[i].S, v)
+	})
+	for _, t := range tallies {
+		resp.Evaluated += t.evaluated
+		resp.Refined += t.refined
+		resp.Holds += t.holds
 	}
-	wg.Wait()
-	if n := panicked.Load(); n > 0 {
-		return slowIdx, slowDur, errf(http.StatusInternalServerError,
-			"evaluation panicked on %d pair(s); repro dumped, see server log", n)
+	if res.Panicked > 0 {
+		return res, errPairPanics(res.Panicked)
 	}
-	return slowIdx, slowDur, ctx.Err()
+	return res, ctx.Err()
+}
+
+// errPairPanics is the 500 every join flavour answers with when pairs
+// panicked (the panic values stay in the server log and the repro dumps).
+func errPairPanics(n int) error {
+	return errf(http.StatusInternalServerError,
+		"evaluation panicked on %d pair(s); repro dumped, see server log", n)
 }

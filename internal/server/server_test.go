@@ -281,6 +281,61 @@ func TestJoinPredicate(t *testing.T) {
 	}
 }
 
+// TestJoinPredTalliesMatchSerial: the predicate and mask joins keep
+// their evaluated/refined/holds counts per worker and merge them after
+// the pool drains (no shared lock per pair); with four workers — under
+// -race in `make race` — the merged counts must equal a serial
+// core.RelatePred / core.RelateMask pass over the same candidates.
+func TestJoinPredTalliesMatchSerial(t *testing.T) {
+	svc, c := newTestServer(t, Config{JoinWorkers: 4}, "OLE", "OPE")
+	le, _ := svc.data.Get("OLE")
+	re, _ := svc.data.Get("OPE")
+	mask, err := de9im.ParseMask("T*F**F***") // within: not one relation's mask, so no relate_p shortcut
+	if err != nil {
+		t.Fatal(err)
+	}
+	type tally struct{ evaluated, refined, holds int }
+	var wantPred, wantMask tally
+	add := func(tl *tally, rr core.RelateResult) {
+		tl.evaluated++
+		if rr.Refined {
+			tl.refined++
+		}
+		if rr.Holds {
+			tl.holds++
+		}
+	}
+	for _, a := range le.Dataset.Objects {
+		for _, b := range re.Dataset.Objects {
+			if a.MBR.Intersects(b.MBR) {
+				add(&wantPred, core.RelatePred(core.PC, a, b, de9im.Intersects))
+				add(&wantMask, core.RelateMask(core.PC, a, b, mask))
+			}
+		}
+	}
+	if wantPred.holds == 0 || wantPred.refined == 0 || wantMask.refined == 0 {
+		t.Fatalf("fixture exercises nothing: pred %+v mask %+v", wantPred, wantMask)
+	}
+	for _, tc := range []struct {
+		req  JoinRequest
+		want tally
+	}{
+		{JoinRequest{Left: "OLE", Right: "OPE", Predicate: "intersects", Limit: 100000}, wantPred},
+		{JoinRequest{Left: "OLE", Right: "OPE", Mask: "T*F**F***", Limit: 100000}, wantMask},
+	} {
+		resp, err := c.Join(context.Background(), tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := (tally{resp.Evaluated, resp.Refined, resp.Holds}); got != tc.want {
+			t.Errorf("%s%s join tallies = %+v, serial answer %+v", tc.req.Predicate, tc.req.Mask, got, tc.want)
+		}
+		if len(resp.Pairs) != tc.want.holds {
+			t.Errorf("%s%s join returned %d pairs, want %d", tc.req.Predicate, tc.req.Mask, len(resp.Pairs), tc.want.holds)
+		}
+	}
+}
+
 // gateHook returns a testHook that signals entry and then blocks until
 // the gate closes or the request context ends.
 func gateHook(entered chan<- struct{}, gate <-chan struct{}) func(context.Context) error {
@@ -533,14 +588,18 @@ func TestTimeoutClamp(t *testing.T) {
 		{60_000, 2 * time.Second}, // clamped to MaxTimeout
 	}
 	for _, tc := range cases {
+		before := time.Now()
 		ctx, cancel := svc.requestCtx(context.Background(), tc.ms)
+		after := time.Now()
 		dl, ok := ctx.Deadline()
 		cancel()
 		if !ok {
 			t.Fatalf("timeout_ms=%d: no deadline", tc.ms)
 		}
-		if d := time.Until(dl); d > tc.want || d < tc.want-200*time.Millisecond {
-			t.Errorf("timeout_ms=%d: deadline in %v, want ~%v", tc.ms, d, tc.want)
+		// The deadline is the call instant plus the clamped timeout,
+		// bracketed by clock reads either side — no scheduling slack.
+		if dl.Before(before.Add(tc.want)) || dl.After(after.Add(tc.want)) {
+			t.Errorf("timeout_ms=%d: deadline %v after the call, want %v", tc.ms, dl.Sub(before), tc.want)
 		}
 	}
 }

@@ -36,9 +36,6 @@ func TestEpochRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.FormatVersion != 3 {
-		t.Fatalf("FormatVersion = %d, want 3", snap.FormatVersion)
-	}
 	if snap.EpochMeta.Epoch != em.Epoch || snap.EpochMeta.NextID != em.NextID ||
 		snap.EpochMeta.WalLSN != em.WalLSN {
 		t.Fatalf("EpochMeta = %+v, want %+v", snap.EpochMeta, em)
@@ -77,123 +74,6 @@ func TestWriteEpochRejectsBadMeta(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("rejected write must not leave a file behind")
-	}
-}
-
-// TestReadV1Compat: a version-1 snapshot (four sections, positional
-// ids, no epoch metadata) still reads, with epoch defaults synthesized.
-// The file is assembled by hand with the v1 layout from the same
-// section encoders the v1 writer used.
-func TestReadV1Compat(t *testing.T) {
-	ds := testDataset(t) // fresh build: ids are positional, as v1 required
-	sections := [v1Sections][]byte{
-		secMeta - 1:  encodeMeta(ds, testSpace, testOrder),
-		secGeom - 1:  encodeGeom(ds),
-		secApril - 1: encodeApril(ds),
-		secTree - 1:  encodeTree(ds),
-	}
-	v1HeaderLen := preambleLen + v1Sections*tableEntry + 4
-	header := make([]byte, 0, v1HeaderLen)
-	header = binary.LittleEndian.AppendUint32(header, magic)
-	header = binary.LittleEndian.AppendUint16(header, 1)
-	header = binary.LittleEndian.AppendUint16(header, v1Sections)
-	offset := uint64(v1HeaderLen)
-	for i, sec := range sections {
-		header = binary.LittleEndian.AppendUint32(header, uint32(i+1))
-		header = binary.LittleEndian.AppendUint64(header, offset)
-		header = binary.LittleEndian.AppendUint64(header, uint64(len(sec)))
-		header = binary.LittleEndian.AppendUint32(header, crc32.Checksum(sec, castagnoli))
-		offset += uint64(len(sec))
-	}
-	header = binary.LittleEndian.AppendUint32(header, crc32.Checksum(header, castagnoli))
-	data := header
-	for _, sec := range sections {
-		data = append(data, sec...)
-	}
-	path := filepath.Join(t.TempDir(), "v1"+Ext)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	snap, err := Read(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.FormatVersion != 1 {
-		t.Fatalf("FormatVersion = %d, want 1", snap.FormatVersion)
-	}
-	if snap.EpochMeta.Epoch != 0 || len(snap.EpochMeta.Tombs) != 0 {
-		t.Fatalf("v1 epoch defaults wrong: %+v", snap.EpochMeta)
-	}
-	if snap.EpochMeta.NextID != len(ds.Objects) {
-		t.Fatalf("v1 NextID = %d, want %d", snap.EpochMeta.NextID, len(ds.Objects))
-	}
-	if len(snap.Dataset.Objects) != len(ds.Objects) {
-		t.Fatalf("decoded %d objects, want %d", len(snap.Dataset.Objects), len(ds.Objects))
-	}
-	for i, o := range snap.Dataset.Objects {
-		if o.ID != i {
-			t.Fatalf("v1 object %d decoded id %d, want positional", i, o.ID)
-		}
-	}
-}
-
-// TestReadV2Compat: a version-2 snapshot (epoch section without the
-// WAL watermark) still reads, with WalLSN defaulting to 0. The file is
-// assembled by hand with the v2 epoch-section layout.
-func TestReadV2Compat(t *testing.T) {
-	ds := testDataset(t)
-	em := EpochMeta{Epoch: 3, NextID: len(ds.Objects) + 2, Tombs: []int{len(ds.Objects)}}
-	epochSec := binary.LittleEndian.AppendUint64(nil, em.Epoch)
-	epochSec = binary.LittleEndian.AppendUint64(epochSec, uint64(em.NextID))
-	epochSec = binary.LittleEndian.AppendUint32(epochSec, uint32(len(em.Tombs)))
-	for _, id := range em.Tombs {
-		epochSec = binary.LittleEndian.AppendUint32(epochSec, uint32(id))
-	}
-	sections := [nSections][]byte{
-		secMeta - 1:  encodeMeta(ds, testSpace, testOrder),
-		secGeom - 1:  encodeGeom(ds),
-		secApril - 1: encodeApril(ds),
-		secTree - 1:  encodeTree(ds),
-		secEpoch - 1: epochSec,
-	}
-	header := make([]byte, 0, headerLen)
-	header = binary.LittleEndian.AppendUint32(header, magic)
-	header = binary.LittleEndian.AppendUint16(header, 2)
-	header = binary.LittleEndian.AppendUint16(header, nSections)
-	offset := uint64(headerLen)
-	for i, sec := range sections {
-		header = binary.LittleEndian.AppendUint32(header, uint32(i+1))
-		header = binary.LittleEndian.AppendUint64(header, offset)
-		header = binary.LittleEndian.AppendUint64(header, uint64(len(sec)))
-		header = binary.LittleEndian.AppendUint32(header, crc32.Checksum(sec, castagnoli))
-		offset += uint64(len(sec))
-	}
-	header = binary.LittleEndian.AppendUint32(header, crc32.Checksum(header, castagnoli))
-	data := header
-	for _, sec := range sections {
-		data = append(data, sec...)
-	}
-	path := filepath.Join(t.TempDir(), "v2"+Ext)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	snap, err := Read(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.FormatVersion != 2 {
-		t.Fatalf("FormatVersion = %d, want 2", snap.FormatVersion)
-	}
-	if snap.EpochMeta.Epoch != em.Epoch || snap.EpochMeta.NextID != em.NextID {
-		t.Fatalf("EpochMeta = %+v, want %+v", snap.EpochMeta, em)
-	}
-	if snap.EpochMeta.WalLSN != 0 {
-		t.Fatalf("v2 WalLSN = %d, want 0", snap.EpochMeta.WalLSN)
-	}
-	if !reflect.DeepEqual(snap.EpochMeta.Tombs, em.Tombs) {
-		t.Fatalf("Tombs = %v, want %v", snap.EpochMeta.Tombs, em.Tombs)
 	}
 }
 

@@ -6,7 +6,7 @@
 // lifetimes, as the RI precursor paper treats its serialized interval
 // lists).
 //
-// Format (version 3, little-endian):
+// Format (version 3, the only one read or written; little-endian):
 //
 //	magic "STJS" u32 | version u16 | sections u16
 //	section table: per section { id u32, offset u64, length u64, crc u32 }
@@ -19,16 +19,16 @@
 // entry array: id + MBR per object), epoch (compaction epoch, next
 // object id, WAL watermark, cumulative tombstoned ids).
 //
-// Version 1 files (four sections, positional object ids, implicitly
-// epoch 0) are still read, as are version 2 files (no WAL watermark).
-// Version 2 stores each object's real id in the tree section, so a
+// Object ids in the tree section are the objects' real ids, so a
 // mutated dataset — where ids are sparse after deletions and upserts —
 // round-trips exactly; the epoch section makes a snapshot a *complete
 // epoch*: a warm start resumes from the highest epoch on disk and
 // mutation ids continue from NextID, never reusing a tombstoned id.
-// Version 3 adds the write-ahead-log LSN watermark to the epoch
-// section: every WAL record at or below it is folded into the epoch,
-// so warm-start replay applies only the records past it.
+// The write-ahead-log LSN watermark says every WAL record at or below
+// it is folded into the epoch, so warm-start replay applies only the
+// records past it. A file of any other version is a *CorruptError
+// (unsupported version): quarantined and rebuilt from source like any
+// other unreadable snapshot.
 //
 // Writes are atomic: tmp file in the same directory, fsync, rename,
 // directory fsync. Reads verify every checksum and bound before
@@ -71,10 +71,6 @@ const (
 	secEpoch  = 5
 	nSections = 5
 
-	// v1Sections is the section count of format version 1 (no epoch
-	// section, positional tree ids), still accepted by Read.
-	v1Sections = 4
-
 	preambleLen = 8                                      // magic + version + section count
 	tableEntry  = 24                                     // id u32 + offset u64 + length u64 + crc u32
 	headerLen   = preambleLen + nSections*tableEntry + 4 // + header crc
@@ -115,14 +111,7 @@ type Snapshot struct {
 	Space   geom.MBR
 	Order   uint
 	Dataset *dataset.Dataset
-	// Entries is the R-tree bulk-load input, in object order.
-	Entries []join.Entry
-	// FormatVersion is the on-disk format the file used. Version 1
-	// files carry positional object ids (0..count-1) that shard-mode
-	// loaders remap; version 2 ids are the objects' real ids.
-	FormatVersion int
-	// EpochMeta is the mutation lineage: zero-valued (epoch 0, NextID =
-	// object count, no tombstones) for version 1 files.
+	// EpochMeta is the mutation lineage.
 	EpochMeta EpochMeta
 }
 
@@ -143,7 +132,7 @@ type EpochMeta struct {
 	// WalLSN is the write-ahead-log watermark: every WAL record with
 	// LSN <= WalLSN is folded into this epoch, so replay after a warm
 	// start skips them and the log can be pruned through it. Zero for
-	// version <= 2 files and for datasets never served with a WAL.
+	// datasets never served with a WAL.
 	WalLSN uint64
 }
 
@@ -319,36 +308,25 @@ func Read(path string) (*Snapshot, error) {
 	if m := binary.LittleEndian.Uint32(data); m != magic {
 		return nil, corrupt("bad magic %#x", m)
 	}
-	// The version picks the section count, which picks the header
-	// length: the magic + version must be inspected before the header
-	// CRC can even be located. A flipped bit in either still lands
-	// here — as a bad-magic / unsupported-version / checksum-mismatch
-	// corruption, never a misread.
-	ver := binary.LittleEndian.Uint16(data[4:])
-	var nSec int
-	switch ver {
-	case 1:
-		nSec = v1Sections
-	case 2, version:
-		nSec = nSections
-	default:
+	// A flipped bit in the magic or version lands here — as a bad-magic
+	// or unsupported-version corruption, never a misread.
+	if ver := binary.LittleEndian.Uint16(data[4:]); ver != version {
 		return nil, corrupt("unsupported version %d", ver)
 	}
-	hlen := preambleLen + nSec*tableEntry + 4
-	if len(data) < hlen {
+	if len(data) < headerLen {
 		return nil, corrupt("file shorter than header (%d bytes)", len(data))
 	}
-	header := data[:hlen]
-	wantCRC := binary.LittleEndian.Uint32(header[hlen-4:])
-	if got := crc32.Checksum(header[:hlen-4], castagnoli); got != wantCRC {
+	header := data[:headerLen]
+	wantCRC := binary.LittleEndian.Uint32(header[headerLen-4:])
+	if got := crc32.Checksum(header[:headerLen-4], castagnoli); got != wantCRC {
 		return nil, corrupt("header checksum mismatch (%#x != %#x)", got, wantCRC)
 	}
-	if n := binary.LittleEndian.Uint16(header[6:]); n != uint16(nSec) {
+	if n := binary.LittleEndian.Uint16(header[6:]); n != nSections {
 		return nil, corrupt("unexpected section count %d", n)
 	}
 
-	sections := make([][]byte, nSec)
-	for i := 0; i < nSec; i++ {
+	sections := make([][]byte, nSections)
+	for i := 0; i < nSections; i++ {
 		ent := header[preambleLen+i*tableEntry:]
 		id := binary.LittleEndian.Uint32(ent)
 		off := binary.LittleEndian.Uint64(ent[4:])
@@ -368,7 +346,7 @@ func Read(path string) (*Snapshot, error) {
 		sections[i] = sec
 	}
 
-	snap, err := decodeSections(int(ver), sections)
+	snap, err := decodeSections(sections)
 	if err != nil {
 		return nil, corrupt("%v", err)
 	}
@@ -585,9 +563,9 @@ func (r *reader) done() error {
 	return nil
 }
 
-func decodeSections(ver int, sections [][]byte) (*Snapshot, error) {
+func decodeSections(sections [][]byte) (*Snapshot, error) {
 	meta := &reader{buf: sections[secMeta-1]}
-	snap := &Snapshot{FormatVersion: ver}
+	snap := &Snapshot{}
 	var err error
 	if snap.Name, err = meta.str(); err != nil {
 		return nil, fmt.Errorf("meta name: %w", err)
@@ -625,62 +603,55 @@ func decodeSections(ver int, sections [][]byte) (*Snapshot, error) {
 		capHint = 1 << 16
 	}
 
-	// The epoch section (v2) is decoded before the object loop so the
-	// tree ids can be validated against NextID. A v1 file is implicitly
-	// epoch 0 with positional ids and nothing tombstoned.
-	snap.EpochMeta = EpochMeta{NextID: int(count)}
-	var seen map[int]struct{}
-	if ver >= 2 {
-		er := &reader{buf: sections[secEpoch-1]}
-		if snap.EpochMeta.Epoch, err = er.u64(); err != nil {
-			return nil, fmt.Errorf("epoch: %w", err)
-		}
-		next, err := er.u64()
-		if err != nil {
-			return nil, fmt.Errorf("epoch next id: %w", err)
-		}
-		if next > math.MaxInt32+1 {
-			return nil, fmt.Errorf("epoch next id %d outside u31 range", next)
-		}
-		snap.EpochMeta.NextID = int(next)
-		if uint64(count) > next {
-			return nil, fmt.Errorf("epoch next id %d below object count %d", next, count)
-		}
-		if ver >= 3 {
-			if snap.EpochMeta.WalLSN, err = er.u64(); err != nil {
-				return nil, fmt.Errorf("epoch: %w", err)
-			}
-		}
-		tombCount, err := er.u32()
-		if err != nil {
-			return nil, fmt.Errorf("epoch tombstones: %w", err)
-		}
-		tombHint := tombCount
-		if tombHint > 1<<16 {
-			tombHint = 1 << 16
-		}
-		tombs := make([]int, 0, tombHint)
-		prev := -1
-		for i := uint32(0); i < tombCount; i++ {
-			id, err := er.u32()
-			if err != nil {
-				return nil, fmt.Errorf("epoch tombstone %d: %w", i, err)
-			}
-			if int(id) <= prev {
-				return nil, fmt.Errorf("epoch tombstone %d: id %d not ascending", i, id)
-			}
-			if uint64(id) >= next {
-				return nil, fmt.Errorf("epoch tombstone id %d >= next id %d", id, next)
-			}
-			prev = int(id)
-			tombs = append(tombs, int(id))
-		}
-		if err := er.done(); err != nil {
-			return nil, fmt.Errorf("epoch: %w", err)
-		}
-		snap.EpochMeta.Tombs = tombs
-		seen = make(map[int]struct{}, capHint)
+	// The epoch section is decoded before the object loop so the tree
+	// ids can be validated against NextID.
+	er := &reader{buf: sections[secEpoch-1]}
+	if snap.EpochMeta.Epoch, err = er.u64(); err != nil {
+		return nil, fmt.Errorf("epoch: %w", err)
 	}
+	next, err := er.u64()
+	if err != nil {
+		return nil, fmt.Errorf("epoch next id: %w", err)
+	}
+	if next > math.MaxInt32+1 {
+		return nil, fmt.Errorf("epoch next id %d outside u31 range", next)
+	}
+	snap.EpochMeta.NextID = int(next)
+	if uint64(count) > next {
+		return nil, fmt.Errorf("epoch next id %d below object count %d", next, count)
+	}
+	if snap.EpochMeta.WalLSN, err = er.u64(); err != nil {
+		return nil, fmt.Errorf("epoch: %w", err)
+	}
+	tombCount, err := er.u32()
+	if err != nil {
+		return nil, fmt.Errorf("epoch tombstones: %w", err)
+	}
+	tombHint := tombCount
+	if tombHint > 1<<16 {
+		tombHint = 1 << 16
+	}
+	tombs := make([]int, 0, tombHint)
+	prev := -1
+	for i := uint32(0); i < tombCount; i++ {
+		id, err := er.u32()
+		if err != nil {
+			return nil, fmt.Errorf("epoch tombstone %d: %w", i, err)
+		}
+		if int(id) <= prev {
+			return nil, fmt.Errorf("epoch tombstone %d: id %d not ascending", i, id)
+		}
+		if uint64(id) >= next {
+			return nil, fmt.Errorf("epoch tombstone id %d >= next id %d", id, next)
+		}
+		prev = int(id)
+		tombs = append(tombs, int(id))
+	}
+	if err := er.done(); err != nil {
+		return nil, fmt.Errorf("epoch: %w", err)
+	}
+	snap.EpochMeta.Tombs = tombs
+	seen := make(map[int]struct{}, capHint)
 	// Geometry blobs stream directly into one columnar arena (the
 	// warm-start path: decode once, no rebuild-then-reflatten); objects
 	// are materialized after Finish, when slab views and cached bounds
@@ -714,22 +685,15 @@ func decodeSections(ver int, sections [][]byte) (*Snapshot, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tree object %d: %w", i, err)
 		}
-		if ver == 1 {
-			// v1 ids are positional by construction.
-			if id != i {
-				return nil, fmt.Errorf("tree object %d: id %d out of order", i, id)
-			}
-		} else {
-			// v2 ids are real: sparse after mutations, but unique,
-			// below NextID, and disjoint from the tombstone set.
-			if uint64(id) >= uint64(snap.EpochMeta.NextID) {
-				return nil, fmt.Errorf("tree object %d: id %d >= next id %d", i, id, snap.EpochMeta.NextID)
-			}
-			if _, dup := seen[int(id)]; dup {
-				return nil, fmt.Errorf("tree object %d: duplicate id %d", i, id)
-			}
-			seen[int(id)] = struct{}{}
+		// Ids are real: sparse after mutations, but unique, below NextID,
+		// and disjoint from the tombstone set.
+		if uint64(id) >= next {
+			return nil, fmt.Errorf("tree object %d: id %d >= next id %d", i, id, next)
 		}
+		if _, dup := seen[int(id)]; dup {
+			return nil, fmt.Errorf("tree object %d: duplicate id %d", i, id)
+		}
+		seen[int(id)] = struct{}{}
 		box, err := treeR.mbr()
 		if err != nil {
 			return nil, fmt.Errorf("tree object %d: %w", i, err)
@@ -758,6 +722,5 @@ func decodeSections(ver int, sections [][]byte) (*Snapshot, error) {
 		objs = append(objs, &core.Object{ID: int(entries[i].ID), Poly: poly, MBR: mbr, Approx: ap})
 	}
 	snap.Dataset = dataset.FromPrecomputed(snap.Name, snap.Entity, objs, arena)
-	snap.Entries = entries
 	return snap, nil
 }

@@ -73,9 +73,8 @@ func TestRoundTripBitExact(t *testing.T) {
 	if snap.Space != testSpace || snap.Order != testOrder {
 		t.Fatalf("grid = %+v order %d", snap.Space, snap.Order)
 	}
-	if len(snap.Dataset.Objects) != len(ds.Objects) || len(snap.Entries) != len(ds.Objects) {
-		t.Fatalf("object count = %d, entries %d, want %d",
-			len(snap.Dataset.Objects), len(snap.Entries), len(ds.Objects))
+	if len(snap.Dataset.Objects) != len(ds.Objects) {
+		t.Fatalf("object count = %d, want %d", len(snap.Dataset.Objects), len(ds.Objects))
 	}
 	for i, o := range ds.Objects {
 		got := snap.Dataset.Objects[i]
@@ -159,23 +158,28 @@ func TestEveryTruncationDetected(t *testing.T) {
 	}
 }
 
+// TestVersionMismatchQuarantines: format 3 is the only one read. A
+// retired version (1, 2) or a future one is an unsupported-version
+// corruption — quarantined and rebuilt, never misread.
 func TestVersionMismatchQuarantines(t *testing.T) {
 	path, _ := writeFixture(t)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Bump the version and re-seal the header so only the version check
-	// can fail.
-	binary.LittleEndian.PutUint16(data[4:], version+1)
-	tbl := crc32.MakeTable(crc32.Castagnoli)
-	binary.LittleEndian.PutUint32(data[headerLen-4:], crc32.Checksum(data[:headerLen-4], tbl))
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = Read(path)
-	if !IsCorrupt(err) || !strings.Contains(err.Error(), "unsupported version") {
-		t.Fatalf("err = %v, want unsupported-version corruption", err)
+	for _, ver := range []uint16{1, 2, version + 1} {
+		// Set the version and re-seal the header so only the version
+		// check can fail.
+		binary.LittleEndian.PutUint16(data[4:], ver)
+		tbl := crc32.MakeTable(crc32.Castagnoli)
+		binary.LittleEndian.PutUint32(data[headerLen-4:], crc32.Checksum(data[:headerLen-4], tbl))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Read(path)
+		if !IsCorrupt(err) || !strings.Contains(err.Error(), "unsupported version") {
+			t.Fatalf("version %d: err = %v, want unsupported-version corruption", ver, err)
+		}
 	}
 }
 
