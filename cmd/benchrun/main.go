@@ -34,13 +34,13 @@ import (
 
 func main() {
 	var (
-		seed   = flag.Int64("seed", 2026, "generator seed")
-		scale  = flag.Float64("scale", 0.2, "dataset cardinality multiplier")
-		order  = flag.Uint("order", datagen.DefaultOrder, "global grid order (2^order cells per side)")
-		combos = flag.String("combos", "OLE:OPE,OBE:OPE", "comma-separated dataset combos (L:R)")
-		pairs  = flag.Int("pairs", 4000, "max candidate pairs swept per combo (0 = all)")
-		warmup = flag.Int("warmup", 1, "discarded warmup sweeps per pipeline")
-		trials = flag.Int("trials", 5, "measured sweeps per pipeline (median reported)")
+		seed    = flag.Int64("seed", 2026, "generator seed")
+		scale   = flag.Float64("scale", 0.2, "dataset cardinality multiplier")
+		order   = flag.Uint("order", datagen.DefaultOrder, "global grid order (2^order cells per side)")
+		combos  = flag.String("combos", "OLE:OPE,OBE:OPE", "comma-separated dataset combos (L:R)")
+		pairs   = flag.Int("pairs", 4000, "max candidate pairs swept per combo (0 = all)")
+		warmup  = flag.Int("warmup", 1, "discarded warmup sweeps per pipeline")
+		trials  = flag.Int("trials", 5, "measured sweeps per pipeline (median reported)")
 		label   = flag.String("label", "", "benchmark point label recorded in the artifact (required)")
 		out     = flag.String("out", "", "output path (- for stdout; default <label>.json)")
 		compare = flag.String("compare", "", "baseline BENCH_N.json to diff against (prints per-combo deltas, verifies fingerprints)")
@@ -115,14 +115,14 @@ type config struct {
 // allocation fields is a pure function of (seed, scale, order, combos,
 // pairs) and must be byte-identical across runs and machines.
 type Report struct {
-	Bench   string       `json:"bench"`
-	Version string       `json:"version"`
-	Seed    int64        `json:"seed"`
-	Scale   float64      `json:"scale"`
-	Order   uint         `json:"grid_order"`
-	Warmup  int          `json:"warmup"`
-	Trials  int          `json:"trials"`
-	GoArch  string       `json:"goarch"`
+	Bench   string        `json:"bench"`
+	Version string        `json:"version"`
+	Seed    int64         `json:"seed"`
+	Scale   float64       `json:"scale"`
+	Order   uint          `json:"grid_order"`
+	Warmup  int           `json:"warmup"`
+	Trials  int           `json:"trials"`
+	GoArch  string        `json:"goarch"`
 	Combos  []ComboReport `json:"combos"`
 }
 

@@ -12,21 +12,21 @@ import (
 // recordSink captures every event for inspection.
 type recordSink struct {
 	events []struct {
-		m       Method
-		res     Result
-		v       Verdict
-		filter  time.Duration
-		refine  time.Duration
+		m      Method
+		res    Result
+		v      Verdict
+		filter time.Duration
+		refine time.Duration
 	}
 }
 
 func (r *recordSink) ObservePair(m Method, res Result, v Verdict, filter, refine time.Duration) {
 	r.events = append(r.events, struct {
-		m       Method
-		res     Result
-		v       Verdict
-		filter  time.Duration
-		refine  time.Duration
+		m      Method
+		res    Result
+		v      Verdict
+		filter time.Duration
+		refine time.Duration
 	}{m, res, v, filter, refine})
 }
 

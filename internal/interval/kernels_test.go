@@ -150,7 +150,7 @@ func TestZeroAllocKernels(t *testing.T) {
 	x := randKernelList(rng, 12)
 	y := randKernelList(rng, 12)
 	var sink bool
-	kernels := map[string]func() {
+	kernels := map[string]func(){
 		"Overlap":  func() { sink = Overlap(x, y) },
 		"Match":    func() { sink = Match(x, y) },
 		"Inside":   func() { sink = Inside(x, y) },

@@ -19,12 +19,12 @@ import (
 // `pipeline_verdict_total{stage="refine"}`. Exporters treat the suffix
 // as opaque labels of the base name.
 type Registry struct {
-	mu        sync.Mutex
-	counters  map[string]*Counter
-	gauges    map[string]*Gauge
-	hists     map[string]*Histogram
-	gaugeFns  map[string]func() int64
-	fnOrder   []string
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	hists    map[string]*Histogram
+	gaugeFns map[string]func() int64
+	fnOrder  []string
 }
 
 // NewRegistry creates an empty registry.
