@@ -1,17 +1,21 @@
 # Developer targets; `make check` is the pre-commit gate.
 GO ?= go
 
-.PHONY: build test race vet bench bench-json bench-compare benchtest loc check serve difftest faulttest e2e
+.PHONY: build fmt test race vet bench bench-json bench-compare benchtest loc check serve difftest faulttest e2e
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: any file gofmt would rewrite fails `make check`.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
 
 # The packages with concurrent hot paths: the sweep executor (core) and
 # its find-relation runner's tests (harness), the metrics substrate,
-# and the query service (admission + batching) —
+# and the query service (admission + concurrent probes) —
 # plus the refiner and the oracle harness, whose parallel cross-checks
 # double as a race probe of the whole pipeline, and the resilience
 # layer (snapshot loads race background rebuilds; the fault seam is
@@ -109,4 +113,4 @@ e2e:
 serve:
 	$(GO) run ./cmd/topojoind -gen OLE,OPE -scale 0.1
 
-check: build vet test race benchtest loc
+check: build fmt vet test race benchtest loc

@@ -93,7 +93,7 @@ func main() {
 		keyrange    = flag.String("keyrange", "", "Hilbert key range lo:hi (half-open) this shard owns (from topojoinrouter -print-plan)")
 		routeOrder  = flag.Uint("route-order", shard.DefaultRouteOrder, "Hilbert order of the fleet's routing grid (must match the router)")
 		walFlag     = flag.String("wal", "", "directory of per-dataset write-ahead logs: mutations fsync before the ack and replay on restart (empty disables durability)")
-		walSyncFlag = flag.Duration("wal-sync", 0, "group-commit window: how long a WAL commit leader waits for more writers before fsyncing the batch (0 = commit immediately)")
+		walSyncFlag = flag.Duration("wal-sync", 0, "group-commit window: how long a WAL commit leader waits for more writers before fsyncing the batch (0 = commit immediately; a window below 1ms behaves as ≈ 1ms on an idle process)")
 		walMaxSeg   = flag.Int64("wal-max-segment", 64<<20, "WAL segment rotation threshold in bytes")
 	)
 	flag.Parse()

@@ -89,7 +89,9 @@ type SweepResult struct {
 // runs on — and so the one place a sweep is cancelled and the one place
 // a pair-level panic is recovered.
 //
-// workers <= 0 selects GOMAXPROCS; the count is clamped to n. newBody is
+// workers <= 0 selects GOMAXPROCS; the count is clamped to the number of
+// chunks, ceil(n/sweepChunk), since a worker that claims no chunk can do
+// no work (a two-candidate relate probe runs on one worker). newBody is
 // called once per worker, serially on the calling goroutine, so it may
 // collect per-worker state (a Sweeper, stat partials, tallies) without
 // locking; the body it returns runs on that worker only. Worker 0 is the
@@ -106,9 +108,7 @@ func Sweep(ctx context.Context, n, workers int, newBody func(span *trace.Span) S
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = max(n, 1)
-	}
+	workers = max(min(workers, (n+sweepChunk-1)/sweepChunk), 1)
 	s := sweepState{ctx: ctx, n: n, onPanic: onPanic, res: SweepResult{SlowIndex: -1}}
 	parent := trace.FromContext(ctx)
 	var wg sync.WaitGroup

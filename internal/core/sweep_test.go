@@ -25,12 +25,13 @@ func noPanic(t *testing.T) func(int, any, string) {
 
 // TestSweepExecutor pins the one worker pool every sweep runs on, over
 // sizes around the chunk boundary and worker counts below, at and above
-// the item count.
+// the item count. Only workers that can claim a chunk are built: at most
+// ceil(n/sweepChunk), so a 15-item sweep stays on the caller.
 func TestSweepExecutor(t *testing.T) {
 	for _, n := range []int{0, 1, 15, 16, 17, 1000} {
 		for _, workers := range []int{1, 2, 8, n + 5} {
 			t.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(t *testing.T) {
-				want := max(min(workers, n), 1) // clamped worker count
+				want := max(min(workers, (n+sweepChunk-1)/sweepChunk), 1) // clamped worker count
 				caller := goid()
 
 				// Every index runs exactly once; bodies are built one per

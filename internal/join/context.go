@@ -74,15 +74,6 @@ func (t *RTree) JoinContext(ctx context.Context, o *RTree, fn func(a, b Entry)) 
 	return joinNodesCtx(t.root, o.root, fn, nil, newTicker(ctx))
 }
 
-// JoinContext is PBSM's cancellable join: ctx is polled between
-// partitions and inside each plane sweep.
-func (p *PBSM) JoinContext(ctx context.Context, as, bs []Entry, fn func(a, b Entry)) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return p.joinCtx(as, bs, fn, nil, newTicker(ctx))
-}
-
 // PairsContext is Pairs with cancellation, for callers serving
 // deadline-bound requests. On cancellation the partial result is
 // discarded and the context's error returned.

@@ -34,16 +34,6 @@ func TestJoinContextMatchesJoin(t *testing.T) {
 	if plain != ctxed {
 		t.Fatalf("JoinContext reported %d pairs, Join %d", ctxed, plain)
 	}
-
-	var pplain, pctxed int
-	p := NewPBSM(8)
-	p.Join(as, bs, func(a, b Entry) { pplain++ })
-	if err := p.JoinContext(context.Background(), as, bs, func(a, b Entry) { pctxed++ }); err != nil {
-		t.Fatal(err)
-	}
-	if pplain != pctxed || pplain != plain {
-		t.Fatalf("PBSM JoinContext %d, PBSM Join %d, R-tree %d", pctxed, pplain, plain)
-	}
 }
 
 func TestJoinContextCancelled(t *testing.T) {
@@ -54,9 +44,6 @@ func TestJoinContextCancelled(t *testing.T) {
 
 	if err := ta.JoinContext(ctx, tb, func(a, b Entry) {}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RTree.JoinContext err = %v, want Canceled", err)
-	}
-	if err := NewPBSM(8).JoinContext(ctx, as, bs, func(a, b Entry) {}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("PBSM.JoinContext err = %v, want Canceled", err)
 	}
 	if err := ta.QueryContext(ctx, geom.MBR{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}, func(Entry) {}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("QueryContext err = %v, want Canceled", err)

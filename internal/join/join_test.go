@@ -77,20 +77,6 @@ func TestRTreeJoinMatchesBrute(t *testing.T) {
 	}
 }
 
-func TestPBSMJoinMatchesBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, grid := range []int{1, 4, 13} {
-		p := NewPBSM(grid)
-		for trial := 0; trial < 6; trial++ {
-			as := randBoxes(rng, 100+rng.Intn(300), 100, 9)
-			bs := randBoxes(rng, 100+rng.Intn(300), 100, 9)
-			want := bruteJoin(as, bs)
-			got := collect(func(fn func(a, b Entry)) { p.Join(as, bs, fn) })
-			checkJoin(t, got, want)
-		}
-	}
-}
-
 // checkJoin verifies exact match and no duplicates.
 func checkJoin(t *testing.T, got map[[2]int32]int, want map[[2]int32]bool) {
 	t.Helper()
@@ -107,13 +93,6 @@ func checkJoin(t *testing.T, got map[[2]int32]int, want map[[2]int32]bool) {
 	}
 }
 
-func TestPBSMGridClamp(t *testing.T) {
-	p := NewPBSM(0)
-	if p.grid != 1 {
-		t.Error("grid must clamp to 1")
-	}
-}
-
 func TestEmptyInputs(t *testing.T) {
 	empty := BuildRTree(nil)
 	if empty.Len() != 0 {
@@ -125,10 +104,6 @@ func TestEmptyInputs(t *testing.T) {
 	some.Join(empty, func(a, b Entry) { n++ })
 	if n != 0 {
 		t.Error("join with empty tree must be empty")
-	}
-	NewPBSM(4).Join(nil, nil, func(a, b Entry) { n++ })
-	if n != 0 {
-		t.Error("PBSM with empty inputs must be empty")
 	}
 }
 

@@ -12,8 +12,7 @@ import (
 type JoinStats struct {
 	// Pairs is the number of candidate pairs reported to the caller.
 	Pairs int64
-	// NodeVisits is the number of node pairs visited (R-tree join) or
-	// non-empty partitions swept (PBSM).
+	// NodeVisits is the number of R-tree node pairs visited.
 	NodeVisits int64
 	// Compares is the number of box-box intersection tests performed on
 	// entries.

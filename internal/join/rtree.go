@@ -1,9 +1,9 @@
 // Package join implements the filter step of the spatial join: producing
 // the pairs of objects whose MBRs intersect. The paper treats this step as
-// an external producer (its cost is excluded from all measurements); two
-// standard algorithms are provided: an STR bulk-loaded R-tree with a
-// synchronized-traversal tree join, and a PBSM-style grid partition join
-// with plane-sweep inside each partition.
+// an external producer (its cost is excluded from all measurements); it
+// is an STR bulk-loaded R-tree with a synchronized-traversal tree join,
+// plus the epoch View that merges a base tree, tombstones and a delta
+// tree for the service.
 package join
 
 import (
@@ -146,6 +146,24 @@ func (t *RTree) JoinObserved(o *RTree, fn func(a, b Entry)) JoinStats {
 	var st JoinStats
 	joinNodesCtx(t.root, o.root, fn, &st, nil)
 	return st
+}
+
+// Pairs collects the join result of two MBR slices using the R-tree join;
+// it is the convenience entry point used by the harness to produce
+// candidate pairs.
+func Pairs(as, bs []geom.MBR) [][2]int32 {
+	ea := make([]Entry, len(as))
+	for i, b := range as {
+		ea[i] = Entry{Box: b, ID: int32(i)}
+	}
+	eb := make([]Entry, len(bs))
+	for i, b := range bs {
+		eb[i] = Entry{Box: b, ID: int32(i)}
+	}
+	ta, tb := BuildRTree(ea), BuildRTree(eb)
+	var out [][2]int32
+	ta.Join(tb, func(a, b Entry) { out = append(out, [2]int32{a.ID, b.ID}) })
+	return out
 }
 
 func joinNodesCtx(a, b *node, fn func(x, y Entry), st *JoinStats, tk *ticker) error {

@@ -202,7 +202,7 @@ func TestHarnessParallelAgainstOracle(t *testing.T) {
 }
 
 // TestServerRelateAgainstOracle probes a live server (full HTTP stack,
-// micro-batched relate path) and checks the match set against the
+// relate path, a one-row join) and checks the match set against the
 // brute-force relation of the probe with every dataset object.
 func TestServerRelateAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(*seedFlag + 29))

@@ -3,8 +3,8 @@
 // their APRIL approximations and STR R-tree indexes once, an HTTP JSON
 // API serving relate probes and dataset-pair joins from those indexes,
 // bounded-concurrency admission control, per-request deadlines plumbed
-// down to the parallel sweeps, micro-batching of concurrent probes, and
-// graceful drain. The batch CLIs rebuild everything per invocation; the
+// down to the parallel sweeps (a relate probe is a one-row join on the
+// same path as a dataset-pair join), and graceful drain. The batch CLIs rebuild everything per invocation; the
 // server amortizes preprocessing across millions of requests, which is
 // where filter-and-refine joins actually pay off (cf. Kipf et al.,
 // "Adaptive Geospatial Joins for Modern Hardware").

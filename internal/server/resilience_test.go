@@ -502,8 +502,7 @@ func TestRelatePanicIsolatedOverHTTP(t *testing.T) {
 		t.Fatalf("nil-geometry pair cannot be dumped, got %v", dumps)
 	}
 
-	// A probe far from the poison answers normally: the process and the
-	// batcher survived.
+	// A probe far from the poison answers normally: the process survived.
 	resp, err := c.Relate(ctx, RelateRequest{
 		Dataset: "grid", Method: "ST2",
 		WKT: "POLYGON ((200 200, 240 200, 240 240, 200 240, 200 200))",

@@ -26,7 +26,8 @@ import (
 type Config struct {
 	// MaxInFlight bounds concurrently executing query requests
 	// (default 4 × GOMAXPROCS: queries are CPU-bound, a small multiple
-	// keeps the cores busy while one request waits in a batch window).
+	// keeps the cores busy while one request decodes, rasterises its
+	// probe or encodes its response).
 	MaxInFlight int
 	// MaxQueue bounds requests waiting for a slot (default MaxInFlight);
 	// beyond it requests are rejected immediately with 429.
@@ -39,14 +40,9 @@ type Config struct {
 	// (default 60s).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// JoinWorkers sizes the worker pools of the join sweep and the
-	// relate batch sweep (default GOMAXPROCS).
+	// JoinWorkers caps the workers of one request's sweep over its
+	// candidate pairs, join or relate probe (default GOMAXPROCS).
 	JoinWorkers int
-	// BatchWindow and MaxBatch shape relate micro-batching: probes
-	// arriving within BatchWindow (default 250µs) are grouped up to
-	// MaxBatch (default 64) and share one sweep.
-	BatchWindow time.Duration
-	MaxBatch    int
 	// DefaultLimit and MaxLimit bound the matches/pairs a response may
 	// carry (defaults 1000 and 100000).
 	DefaultLimit int
@@ -102,12 +98,6 @@ func (c Config) withDefaults() Config {
 	if c.JoinWorkers <= 0 {
 		c.JoinWorkers = runtime.GOMAXPROCS(0)
 	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 250 * time.Microsecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
 	if c.DefaultLimit <= 0 {
 		c.DefaultLimit = 1000
 	}
@@ -125,18 +115,16 @@ func (c Config) withDefaults() Config {
 
 // Server is the topology query service: once-built indexes from a
 // Registry behind an HTTP JSON API with admission control, per-request
-// deadlines, relate micro-batching and graceful drain.
+// deadlines and graceful drain.
 type Server struct {
 	cfg  Config
 	data *Registry
 	met  *obs.Registry
 	mux  *http.ServeMux
 	adm  *admission
-	bat  *batcher
 
 	// rootCtx is cancelled when the drain grace expires (or Close runs):
-	// it force-cancels every in-flight request context and stops the
-	// batcher dispatcher.
+	// it force-cancels every in-flight request context.
 	rootCtx    context.Context
 	rootCancel context.CancelCauseFunc
 
@@ -187,8 +175,6 @@ func New(data *Registry, cfg Config) *Server {
 	s.rootCtx, s.rootCancel = context.WithCancelCause(context.Background())
 	s.adm = newAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait,
 		met.Gauge("server_inflight"), met.Gauge("server_queue_depth"))
-	s.bat = newBatcher(cfg.BatchWindow, cfg.MaxBatch, cfg.JoinWorkers, met, s.pairPanic)
-	go s.bat.run(s.rootCtx)
 
 	// Build identity: constant gauge, labels carry the facts.
 	met.GaugeFunc(obs.Name("stj_build_info",
@@ -558,29 +544,21 @@ func (s *Server) handleRelate(ctx context.Context, r *http.Request) (any, error)
 		rsp.SetStr("degraded", "true")
 	}
 	rsp.SetStr("method", method.String())
-	job := &probeJob{
-		entry:  entry,
-		method: method,
-		limit:  s.clampLimit(req.Limit),
-		done:   make(chan error, 1),
-		span:   rsp,
-		owns:   s.owns,
-	}
-	job.track = rsp.Recording() || (s.slowThr > 0 && s.cfg.SlowDir != "")
-	if job.test, err = parsePairTest(req.Predicate, req.Mask); err != nil {
+	test, err := parsePairTest(req.Predicate, req.Mask)
+	if err != nil {
 		return nil, err
 	}
 	poly, err := probeGeometry(&req)
 	if err != nil {
 		return nil, err
 	}
-	if job.probe, err = s.data.Probe(poly); err != nil {
+	probe, err := s.data.Probe(poly)
+	if err != nil {
 		return nil, errf(http.StatusBadRequest, "probe geometry: %v", err)
 	}
 
 	rctx, cancel := s.requestCtx(ctx, req.TimeoutMS)
 	defer cancel()
-	job.ctx = rctx
 
 	if s.testHook != nil {
 		if err := s.testHook(rctx); err != nil {
@@ -589,43 +567,37 @@ func (s *Server) handleRelate(ctx context.Context, r *http.Request) (any, error)
 	}
 
 	start := time.Now()
-	select {
-	case s.bat.jobs <- job:
-	case <-rctx.Done():
-		return nil, rctx.Err()
-	}
-	select {
-	case err := <-job.done:
-		if err != nil {
-			return nil, err
+	// A probe is a one-row join: every candidate from the entry's merged
+	// epoch view (base minus tombstones plus delta) pairs with the probe,
+	// which is the left operand of every relation reported.
+	var pairs []core.Pair
+	err = entry.View().QueryContext(rctx, probe.MBR, func(delta bool, e join.Entry) {
+		// Shard mode: the reference-point rule, as in handleJoin.
+		if s.owns != nil && !s.owns(probe.MBR, e.Box) {
+			return
 		}
-	case <-rctx.Done():
-		return nil, rctx.Err()
+		pairs = append(pairs, core.Pair{R: probe, S: entry.objAt(delta, e.ID)})
+	})
+	if err != nil {
+		return nil, err
 	}
-	elapsed := time.Since(start)
-	rsp.SetInt("candidates", int64(job.candidates))
-	rsp.SetInt("evaluated", job.evaluated.Load())
-	rsp.SetInt("refined", job.refined.Load())
-	if slowObj, slowDur := job.slowest(); slowObj != nil {
-		rsp.SetInt("slow_candidate_id", int64(slowObj.ID))
-		rsp.SetInt("slow_candidate_ns", int64(slowDur))
-		if s.slowThr > 0 && elapsed >= s.slowThr {
-			s.dumpSlowPair("relate", rsp.TraceID(), job.probe, slowObj, slowDur)
-		}
-	}
-	matches := job.matches
-	if matches == nil {
-		matches = []RelateMatch{}
+	matches := []RelateMatch{}
+	ev, err := s.evalPairs(rctx, "relate", start, pairs, method, test, s.clampLimit(req.Limit),
+		func(i int, relation string) {
+			matches = append(matches, RelateMatch{ID: pairs[i].S.ID, Relation: relation})
+		})
+	if err != nil {
+		return nil, err
 	}
 	return RelateResponse{
 		Dataset:      req.Dataset,
-		Candidates:   job.candidates,
-		Evaluated:    int(job.evaluated.Load()),
-		Refined:      int(job.refined.Load()),
+		Candidates:   len(pairs),
+		Evaluated:    ev.evaluated,
+		Refined:      ev.refined,
 		Matches:      matches,
-		Truncated:    job.truncated,
-		BatchSize:    job.batchSize,
-		ElapsedMS:    float64(elapsed) / float64(time.Millisecond),
+		Truncated:    ev.truncated,
+		BatchSize:    1,
+		ElapsedMS:    float64(time.Since(start)) / float64(time.Millisecond),
 		Epoch:        entry.Epoch,
 		IndexVersion: entry.Version,
 	}, nil
@@ -692,71 +664,181 @@ func (s *Server) handleJoin(ctx context.Context, r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	rsp.SetInt("candidates", int64(len(pairs)))
 
 	resp := JoinResponse{
 		Left: req.Left, Right: req.Right, Candidates: len(pairs),
 		LeftEpoch: left.Epoch, LeftVersion: left.Version,
 		RightEpoch: right.Epoch, RightVersion: right.Version,
 	}
-	var mu sync.Mutex
-	addPair := func(p JoinPair) {
-		mu.Lock()
-		defer mu.Unlock()
-		if len(resp.Pairs) >= limit {
-			resp.Truncated = true
-			return
-		}
-		resp.Pairs = append(resp.Pairs, p)
-	}
-
-	slowIdx, slowDur := -1, time.Duration(0)
-	if test.holds != nil {
-		// relate_p and mask joins share one sweep body.
-		var res core.SweepResult
-		res, err = s.sweepRelate(rctx, pairs, method, test, &resp, addPair)
-		slowIdx, slowDur = res.SlowIndex, res.SlowTime
-	} else {
-		// Find-relation join: the core runner on the same executor,
-		// deadline-aware, publishing its stats into the registry.
-		var st core.MethodStats
-		st, err = core.RunFindRelation(rctx, method, pairs, s.cfg.JoinWorkers,
-			func(i int, res core.Result) {
-				if res.Relation != de9im.Disjoint {
-					addPair(JoinPair{
-						LeftID:   pairs[i].R.ID,
-						RightID:  pairs[i].S.ID,
-						Relation: res.Relation.String(),
-					})
-				}
-			})
-		var pe *core.PanicError
-		if errors.As(err, &pe) {
-			// The executor recovered the panics at pair granularity and
-			// swept everything else; surface them as a per-request error
-			// with every offending pair preserved as a repro case.
-			for _, pp := range pe.Pairs {
-				s.pairPanic("join-find", pairs[pp.Index].R, pairs[pp.Index].S, pp.Value)
-			}
-			err = errPairPanics(len(pe.Pairs))
-		}
-		resp.Evaluated = st.Pairs
-		resp.Refined = st.Undetermined
+	ev, err := s.evalPairs(rctx, "join", start, pairs, method, test, limit, func(i int, relation string) {
+		resp.Pairs = append(resp.Pairs, JoinPair{LeftID: pairs[i].R.ID, RightID: pairs[i].S.ID, Relation: relation})
+	})
+	if test.holds == nil {
+		// Find-relation joins publish their sweep stats into the registry,
+		// even when the sweep was cut short.
+		ev.stats.Publish(s.met, "server_join")
 		resp.Relations = make(map[string]int)
-		for rel, n := range st.Relations {
+		for rel, n := range ev.stats.Relations {
 			if n > 0 {
 				resp.Relations[de9im.Relation(rel).String()] = n
 			}
 		}
-		st.Publish(s.met, "server_join")
-		slowIdx, slowDur = st.SlowPair, st.SlowPairTime
 	}
 	if err != nil {
 		return nil, err
 	}
-	elapsed := time.Since(start)
-	rsp.SetInt("evaluated", int64(resp.Evaluated))
-	rsp.SetInt("refined", int64(resp.Refined))
+	resp.Evaluated, resp.Refined, resp.Holds, resp.Truncated = ev.evaluated, ev.refined, ev.holds, ev.truncated
+	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
+	return resp, nil
+}
+
+// pairTest is what a relate or join request asks of each candidate
+// pair: its most specific relation (Algorithm 1) when holds is nil, else
+// whether a relate_p predicate or an arbitrary DE-9IM mask holds.
+type pairTest struct {
+	holds func(m core.Method, r, s *core.Object) core.RelateResult
+	// relation names a holding pair's relation in the response: the
+	// predicate's name, empty for a mask.
+	relation string
+}
+
+// parsePairTest maps a request's predicate/mask fields to its test.
+func parsePairTest(predicate, mask string) (pairTest, error) {
+	switch {
+	case predicate != "" && mask != "":
+		return pairTest{}, errf(http.StatusBadRequest, "give predicate or mask, not both")
+	case predicate != "":
+		pred, err := parseRelation(predicate)
+		if err != nil {
+			return pairTest{}, err
+		}
+		return pairTest{relation: pred.String(), holds: func(m core.Method, r, s *core.Object) core.RelateResult {
+			return core.RelatePred(m, r, s, pred)
+		}}, nil
+	case mask != "":
+		dm, err := de9im.ParseMask(mask)
+		if err != nil {
+			return pairTest{}, errf(http.StatusBadRequest, "mask: %v", err)
+		}
+		return pairTest{holds: func(m core.Method, r, s *core.Object) core.RelateResult {
+			return core.RelateMask(m, r, s, dm)
+		}}, nil
+	}
+	return pairTest{}, nil
+}
+
+// evaluation is what evalPairs reports besides the accepted pairs.
+type evaluation struct {
+	evaluated, refined int
+	holds              int // predicate/mask mode: pairs the test held for
+	truncated          bool
+	// stats is the find-relation sweep's verdict, relation and stage
+	// tallies (zero in predicate/mask mode).
+	stats core.MethodStats
+}
+
+// evalPairs is the one evaluation path of /v1/relate and /v1/join: it
+// runs the request's test over the candidate pairs on the core executor
+// — find mode through core.RunFindRelation, predicate and mask mode
+// through a Sweep body whose tallies are kept per worker and merged
+// after the pool drains (no shared lock per pair). emit receives,
+// serially, the index and reported relation of each accepted pair up to
+// limit; beyond it the evaluation is truncated. A panicking pair is
+// counted, repro-dumped and fails the request with a 500; ctx's deadline
+// cuts the sweep short. start is when the handler began the request's
+// own work: a request slower than the tracer's slow threshold dumps its
+// slowest pair. The evaluation is returned even with an error and then
+// covers the pairs actually evaluated.
+func (s *Server) evalPairs(ctx context.Context, route string, start time.Time, pairs []core.Pair,
+	method core.Method, test pairTest, limit int, emit func(i int, relation string)) (evaluation, error) {
+	var ev evaluation
+	var mu sync.Mutex
+	emitted := 0
+	accept := func(i int, relation string) {
+		mu.Lock()
+		defer mu.Unlock()
+		if emitted >= limit {
+			ev.truncated = true
+			return
+		}
+		emitted++
+		emit(i, relation)
+	}
+	rsp := trace.FromContext(ctx)
+	rsp.SetInt("candidates", int64(len(pairs)))
+	slowIdx, slowDur := -1, time.Duration(0)
+	var err error
+	if test.holds == nil {
+		ev.stats, err = core.RunFindRelation(ctx, method, pairs, s.cfg.JoinWorkers, func(i int, r core.Result) {
+			if r.Relation != de9im.Disjoint {
+				accept(i, r.Relation.String())
+			}
+		})
+		var pe *core.PanicError
+		if errors.As(err, &pe) {
+			// Find-mode join dumps are tagged apart from predicate ones.
+			tag := route
+			if route == "join" {
+				tag = "join-find"
+			}
+			for _, pp := range pe.Pairs {
+				s.pairPanic(tag, pairs[pp.Index].R, pairs[pp.Index].S, pp.Value)
+			}
+			err = errPairPanics(len(pe.Pairs))
+		}
+		ev.evaluated, ev.refined = ev.stats.Pairs, ev.stats.Undetermined
+		slowIdx, slowDur = ev.stats.SlowPair, ev.stats.SlowPairTime
+	} else {
+		// Pairs are timed only when a sampled trace or the slow-query log
+		// can use the timing: then the sweep reports its slowest pair and a
+		// sampled trace gets a pair span per pair under its worker span.
+		type tally struct{ evaluated, refined, holds int }
+		var tallies []*tally
+		track := rsp.Recording() || (s.slowThr > 0 && s.cfg.SlowDir != "")
+		res := core.Sweep(ctx, len(pairs), s.cfg.JoinWorkers, func(wsp *trace.Span) core.SweepBody {
+			t := new(tally)
+			tallies = append(tallies, t)
+			return func(i int) time.Duration {
+				p := pairs[i]
+				var t0 time.Time
+				if track {
+					t0 = time.Now()
+				}
+				rr := test.holds(method, p.R, p.S)
+				t.evaluated++
+				if rr.Refined {
+					t.refined++
+				}
+				if rr.Holds {
+					t.holds++
+					accept(i, test.relation)
+				}
+				if !track {
+					return 0
+				}
+				d := time.Since(t0)
+				if ps := wsp.ChildAt("pair", t0, d); ps != nil {
+					ps.SetInt("r_id", int64(p.R.ID))
+					ps.SetInt("s_id", int64(p.S.ID))
+				}
+				return d
+			}
+		}, func(i int, v any, _ string) {
+			s.pairPanic(route, pairs[i].R, pairs[i].S, v)
+		})
+		for _, t := range tallies {
+			ev.evaluated += t.evaluated
+			ev.refined += t.refined
+			ev.holds += t.holds
+		}
+		slowIdx, slowDur = res.SlowIndex, res.SlowTime
+		err = ctx.Err()
+		if res.Panicked > 0 {
+			err = errPairPanics(res.Panicked)
+		}
+	}
+	rsp.SetInt("evaluated", int64(ev.evaluated))
+	rsp.SetInt("refined", int64(ev.refined))
 	// Slow-pair forensics ride the root span even on unsampled traces:
 	// a slow request kept root-only still names its worst pair.
 	if slowDur > 0 && slowIdx >= 0 && slowIdx < len(pairs) {
@@ -764,70 +846,16 @@ func (s *Server) handleJoin(ctx context.Context, r *http.Request) (any, error) {
 		rsp.SetInt("slow_pair_r", int64(p.R.ID))
 		rsp.SetInt("slow_pair_s", int64(p.S.ID))
 		rsp.SetInt("slow_pair_ns", int64(slowDur))
-		if s.slowThr > 0 && elapsed >= s.slowThr {
-			s.dumpSlowPair("join", rsp.TraceID(), p.R, p.S, slowDur)
+		if s.slowThr > 0 && time.Since(start) >= s.slowThr {
+			s.dumpSlowPair(route, rsp.TraceID(), p.R, p.S, slowDur)
 		}
 	}
-	resp.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
-	return resp, nil
+	return ev, err
 }
 
-// sweepRelate evaluates a relate_p or mask join on the core executor:
-// addPair receives every pair the test holds for, and the
-// evaluated/refined/holds tallies — kept per worker, merged after the
-// pool drains — land in resp. A panicking pair is counted, repro-dumped
-// and fails the request. When tracing or the slow-query log is armed
-// the pairs are individually timed: the sweep reports its slowest pair
-// and a sampled trace gets per-pair spans under each worker span.
-func (s *Server) sweepRelate(ctx context.Context, pairs []core.Pair, method core.Method, test pairTest,
-	resp *JoinResponse, addPair func(JoinPair)) (core.SweepResult, error) {
-	type tally struct{ evaluated, refined, holds int }
-	var tallies []*tally
-	track := trace.FromContext(ctx).Recording() || (s.slowThr > 0 && s.cfg.SlowDir != "")
-	res := core.Sweep(ctx, len(pairs), s.cfg.JoinWorkers, func(wsp *trace.Span) core.SweepBody {
-		t := new(tally)
-		tallies = append(tallies, t)
-		return func(i int) time.Duration {
-			p := pairs[i]
-			var t0 time.Time
-			if track {
-				t0 = time.Now()
-			}
-			rr := test.holds(method, p.R, p.S)
-			t.evaluated++
-			if rr.Refined {
-				t.refined++
-			}
-			if rr.Holds {
-				t.holds++
-				addPair(JoinPair{LeftID: p.R.ID, RightID: p.S.ID, Relation: test.relation})
-			}
-			if !track {
-				return 0
-			}
-			d := time.Since(t0)
-			if ps := wsp.ChildAt("pair", t0, d); ps != nil {
-				ps.SetInt("r_id", int64(p.R.ID))
-				ps.SetInt("s_id", int64(p.S.ID))
-			}
-			return d
-		}
-	}, func(i int, v any, _ string) {
-		s.pairPanic("join", pairs[i].R, pairs[i].S, v)
-	})
-	for _, t := range tallies {
-		resp.Evaluated += t.evaluated
-		resp.Refined += t.refined
-		resp.Holds += t.holds
-	}
-	if res.Panicked > 0 {
-		return res, errPairPanics(res.Panicked)
-	}
-	return res, ctx.Err()
-}
-
-// errPairPanics is the 500 every join flavour answers with when pairs
-// panicked (the panic values stay in the server log and the repro dumps).
+// errPairPanics is the 500 relate and every join flavour answer with
+// when pairs panicked (the panic values stay in the server log and the
+// repro dumps).
 func errPairPanics(n int) error {
 	return errf(http.StatusInternalServerError,
 		"evaluation panicked on %d pair(s); repro dumped, see server log", n)

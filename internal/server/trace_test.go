@@ -111,8 +111,9 @@ func TestJoinTraceDepth(t *testing.T) {
 	}
 }
 
-// TestRelateTraceCandidates: a sampled relate probe records candidate
-// spans (with stage children) under the handler root via the batcher.
+// TestRelateTraceCandidates: a sampled relate probe is a one-row join and
+// leaves the join's trace shape — handler → sweep worker → pair →
+// filter/refine — and the join's slow-pair forensics on the root.
 func TestRelateTraceCandidates(t *testing.T) {
 	_, c, tr, _ := newTracedServer(t, Config{}, "OPE")
 	rr, err := c.Relate(context.Background(), RelateRequest{Dataset: "OPE", WKT: probeWKT, Limit: 10})
@@ -131,20 +132,34 @@ func TestRelateTraceCandidates(t *testing.T) {
 	if td.ID == "" {
 		t.Fatal("no http.relate trace buffered")
 	}
-	candidates := 0
-	for _, ch := range td.Root.Children {
-		if ch.Name == "candidate" {
-			candidates++
+	pairs, stages := 0, 0
+	for _, worker := range td.Root.Children {
+		if worker.Name != "sweep.worker" {
+			continue
+		}
+		for _, pair := range worker.Children {
+			if pair.Name != "pair" {
+				continue
+			}
+			pairs++
+			for _, stage := range pair.Children {
+				if stage.Name == "filter" || stage.Name == "refine" {
+					stages++
+				}
+			}
 		}
 	}
-	if candidates == 0 {
-		t.Fatalf("no candidate spans; children: %+v", td.Root.Children)
+	if pairs != rr.Candidates || stages == 0 {
+		t.Fatalf("%d pair spans (want %d), %d stage spans; children: %+v", pairs, rr.Candidates, stages, td.Root.Children)
 	}
 	if td.Root.Attr("dataset") != "OPE" {
 		t.Fatalf("root attrs = %+v", td.Root.Attrs)
 	}
-	if _, ok := td.Root.IntAttr("slow_candidate_ns"); !ok {
-		t.Fatalf("missing slow-candidate forensics; attrs = %+v", td.Root.Attrs)
+	if v, ok := td.Root.IntAttr("candidates"); !ok || v != int64(rr.Candidates) {
+		t.Fatalf("candidates attr = %d (%v), want %d", v, ok, rr.Candidates)
+	}
+	if _, ok := td.Root.IntAttr("slow_pair_ns"); !ok {
+		t.Fatalf("missing slow-pair forensics; attrs = %+v", td.Root.Attrs)
 	}
 }
 

@@ -92,8 +92,8 @@ type RelateResponse struct {
 	Refined   int           `json:"refined"`
 	Matches   []RelateMatch `json:"matches"`
 	Truncated bool          `json:"truncated,omitempty"`
-	// BatchSize is the size of the micro-batch the probe rode in (>= 1;
-	// concurrent probes against the same dataset share one sweep).
+	// BatchSize is always 1: probes are evaluated on their own request;
+	// kept for wire compatibility.
 	BatchSize int     `json:"batch_size"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// Epoch and IndexVersion identify the exact index state that

@@ -36,7 +36,10 @@ type WALOptions struct {
 	Dir string
 	// SyncInterval is the group-commit window: a leader waits up to
 	// this long for more writers before committing the batch. Zero
-	// commits immediately (batches still form under concurrency).
+	// commits immediately (batches still form under concurrency). A
+	// non-zero window below 1ms behaves as ≈ 1ms on an idle process: the
+	// Go runtime parks in netpoll, whose timeout rounds sub-millisecond
+	// timers up.
 	SyncInterval time.Duration
 	// SyncBytes cuts the window short once this many encoded geometry
 	// bytes are queued. Zero uses a default of 1 MiB.

@@ -362,8 +362,8 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 	}
 
 	// Concurrent inserts, upserts and deletes race the group-commit
-	// batcher; every acked result must be distinct and must survive a
-	// crash. Run under -race this doubles as the batcher's race gate.
+	// leaders; every acked result must be distinct and must survive a
+	// crash. Run under -race this doubles as group commit's race gate.
 	const writers, perWriter = 8, 20
 	ids := make(chan int, writers*perWriter)
 	var wg sync.WaitGroup

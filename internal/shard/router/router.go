@@ -539,9 +539,6 @@ func (rt *Router) handleRelate(ctx context.Context, r *http.Request) (any, error
 		out.Evaluated += sr.Evaluated
 		out.Refined += sr.Refined
 		out.Truncated = out.Truncated || sr.Truncated
-		if sr.BatchSize > out.BatchSize {
-			out.BatchSize = sr.BatchSize
-		}
 		out.Matches = append(out.Matches, sr.Matches...)
 	}
 	sort.Slice(out.Matches, func(i, j int) bool { return out.Matches[i].ID < out.Matches[j].ID })

@@ -75,7 +75,7 @@ func ParseKeyRange(s string) (KeyRange, error) {
 
 // grid maps data-space coordinates to routing-grid cells and their
 // Hilbert ids. Coordinates outside the space clamp to the border cells,
-// the same convention as the PBSM partitioner.
+// the usual convention of a PBSM grid partitioning.
 type grid struct {
 	space  geom.MBR
 	curve  hilbert.Curve
