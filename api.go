@@ -232,10 +232,3 @@ func ParseGeoJSON(data []byte) ([]*MultiPolygon, error) {
 
 // MarshalGeoJSON writes a multipolygon as a GeoJSON geometry object.
 func MarshalGeoJSON(m *MultiPolygon) ([]byte, error) { return geojson.MarshalGeometry(m) }
-
-// NewObjectAdaptive preprocesses a polygon like NewObject, but objects
-// whose raster window exceeds the per-object limit are approximated at a
-// coarser grid order (lifted into the base id space) instead of failing.
-func NewObjectAdaptive(id int, p *Polygon, b *Builder) (*Object, error) {
-	return core.NewObjectAdaptive(id, p, b)
-}

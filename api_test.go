@@ -169,23 +169,21 @@ func TestLinkFacade(t *testing.T) {
 	}
 }
 
-func TestNewObjectAdaptiveFacade(t *testing.T) {
-	unit := MBR{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
-	b := NewBuilder(unit, 16)
-	huge := sqPoly(0.01, 0.01, 0.99, 0.99)
-	if _, err := NewObject(0, huge, b); err == nil {
-		t.Fatal("exact build should overflow")
-	}
-	o, err := NewObjectAdaptive(0, huge, b)
+// TestNewObjectHugeFacade: at the paper's order 16 an object spanning
+// nearly the whole space builds through the facade, and the filters
+// settle a small object inside it.
+func TestNewObjectHugeFacade(t *testing.T) {
+	b := NewBuilder(MBR{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 16)
+	huge, err := NewObject(0, sqPoly(0.01, 0.01, 0.99, 0.99), b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := NewObjectAdaptive(1, sqPoly(0.4, 0.4, 0.42, 0.42), b)
+	small, err := NewObject(1, sqPoly(0.4, 0.4, 0.42, 0.42), b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := FindRelation(PC, small, o)
-	if res.Relation != Inside {
-		t.Errorf("relation = %v, want inside", res.Relation)
+	res := FindRelation(PC, small, huge)
+	if res.Relation != Inside || res.Refined {
+		t.Errorf("relation = %v (refined %v), want inside from the filters alone", res.Relation, res.Refined)
 	}
 }

@@ -10,7 +10,7 @@ package spatialtopo
 //	BenchmarkFig8Complexity — per-pair cost at complexity levels 1/5/10
 //	BenchmarkFig9Pair       — the showcase lake-in-park pair, P+C vs OP2
 //	BenchmarkTable5Relate   — find relation vs relate_p per predicate
-//	BenchmarkSubstrates     — interval merge-joins, DE-9IM, Hilbert, raster
+//	BenchmarkSubstrates     — interval merge-joins, DE-9IM, Hilbert, APRIL build
 //	BenchmarkObservedOverhead — plain vs observed pipeline path
 //	BenchmarkTraceOverhead  — plain vs disabled/unsampled request tracing
 //
@@ -23,6 +23,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/april"
 	"repro/internal/chull"
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -34,7 +35,6 @@ import (
 	"repro/internal/join"
 	"repro/internal/linkset"
 	"repro/internal/obs"
-	"repro/internal/raster"
 	"repro/internal/trace"
 )
 
@@ -251,10 +251,10 @@ func BenchmarkSubstrates(b *testing.B) {
 		}
 	})
 
-	g := raster.NewGrid(geom.MBR{MinX: 0, MinY: 0, MaxX: 1024, MaxY: 1024}, 11)
-	b.Run("rasterize_1024v", func(b *testing.B) {
+	ab := april.NewBuilder(geom.MBR{MinX: 0, MinY: 0, MaxX: 1024, MaxY: 1024}, 11)
+	b.Run("april_build_1024v", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := raster.Rasterize(other, g); err != nil {
+			if _, err := ab.Build(other); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -3,9 +3,11 @@ package april
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/hilbert"
 	"repro/internal/interval"
 )
 
@@ -71,11 +73,157 @@ func TestIntervalCountScaling(t *testing.T) {
 	}
 }
 
+// TestBuildSizeIndependent: at the paper's order 16 a whole-space square
+// and a full-width diagonal sliver build to valid lists with memory that
+// follows their boundaries. A dense raster window would need 4 G cells.
+func TestBuildSizeIndependent(t *testing.T) {
+	unit := geom.MBR{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
+	b := NewBuilder(unit, 16)
+	curve := hilbert.New(16)
+	square := rect(0, 0, 1, 1)
+	sliver := geom.NewPolygon(geom.Ring{{X: 0, Y: 0}, {X: 0.002, Y: 0}, {X: 1, Y: 0.998}, {X: 1, Y: 1}})
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sq, err := b.Build(square)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl, err := b.Build(sliver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+		t.Errorf("building allocated %d MiB, want under 64", alloc>>20)
+	}
+
+	for name, a := range map[string]Approx{"square": sq, "sliver": sl} {
+		if !a.P.IsValid() || !a.C.IsValid() || !interval.Inside(a.P, a.C) {
+			t.Fatalf("%s: lists invalid or P ⊄ C", name)
+		}
+	}
+	// The square covers every cell; only the border ring is partial.
+	if got := sq.C.NumCells(); got != curve.NumCells() {
+		t.Errorf("square: C covers %d cells, want all %d", got, curve.NumCells())
+	}
+	if got, want := sq.P.NumCells(), uint64(65534*65534); got != want {
+		t.Errorf("square: P covers %d cells, want %d", got, want)
+	}
+	// The sliver's diagonal edge passes through the centre of the space.
+	if !sl.C.ContainsCell(curve.D(32767, 32767)) || sl.P.ContainsCell(curve.D(32767, 32767)) {
+		t.Error("sliver: the cell on its diagonal edge must be partial")
+	}
+	if sl.P.NumCells() == 0 {
+		t.Error("sliver: a sliver ~90 cells wide must have full cells")
+	}
+}
+
+// TestBuildWindowTooLarge: an MBR window of nearly the whole order-16 grid
+// builds like any other, with the border ring partial and the rest full.
 func TestBuildWindowTooLarge(t *testing.T) {
 	b := NewBuilder(space(), 16)
-	// The full space at order 16 exceeds the raster window limit.
-	if _, err := b.Build(rect(1, 1, 63, 63)); err == nil {
-		t.Fatal("expected window-too-large error")
+	curve := hilbert.New(16)
+	a, err := b.Build(rect(1, 1, 63, 63))
+	if err != nil {
+		t.Fatalf("a window this large must build: %v", err)
+	}
+	if !a.P.IsValid() || !a.C.IsValid() || !interval.Inside(a.P, a.C) {
+		t.Fatal("lists invalid or P ⊄ C")
+	}
+	g := b.Grid()
+	if !a.P.ContainsCell(curve.D(uint32(g.Col(32)), uint32(g.Row(32)))) {
+		t.Error("the centre cell must be full")
+	}
+	if !a.C.ContainsCell(curve.D(uint32(g.Col(1)), uint32(g.Row(32)))) || a.P.ContainsCell(curve.D(uint32(g.Col(1)), uint32(g.Row(32)))) {
+		t.Error("a cell on the left edge must be partial")
+	}
+	if a.C.ContainsCell(curve.D(0, 0)) {
+		t.Error("the corner cell lies outside the square and must be empty")
+	}
+}
+
+// TestBuildAdaptiveHugeObject: a space-filling object at order 16 builds at
+// full order, and a small object nested deep inside it has its
+// conservative cells in the huge object's progressive cells.
+func TestBuildAdaptiveHugeObject(t *testing.T) {
+	unit := geom.MBR{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
+	b := NewBuilder(unit, 16)
+	huge := geom.NewPolygon(geom.Ring{
+		{X: 0.01, Y: 0.01}, {X: 0.99, Y: 0.01}, {X: 0.99, Y: 0.99}, {X: 0.01, Y: 0.99},
+	})
+	ap, err := b.Build(huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ap.C) == 0 || len(ap.P) == 0 {
+		t.Fatal("approximation empty")
+	}
+	if !ap.P.IsValid() || !ap.C.IsValid() {
+		t.Fatal("lists not normalized")
+	}
+	if !interval.Inside(ap.P, ap.C) {
+		t.Fatal("P must stay inside C")
+	}
+	base := uint64(1) << 32 // 4^16 cells
+	if last := ap.C[len(ap.C)-1]; last.End > base {
+		t.Fatalf("interval %v exceeds the order-16 id space", last)
+	}
+	small, err := b.Build(geom.NewPolygon(geom.Ring{
+		{X: 0.4, Y: 0.4}, {X: 0.41, Y: 0.4}, {X: 0.41, Y: 0.41}, {X: 0.4, Y: 0.41},
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !interval.Overlap(ap.C, small.C) {
+		t.Error("conservative lists must overlap for overlapping objects")
+	}
+	if !interval.Inside(small.C, ap.P) {
+		t.Error("nested object's C must sit inside the huge object's P")
+	}
+}
+
+// TestBuildFilterSoundnessHugeObject: an object spanning most of the
+// space, against many small ones, keeps the intersection filter sound
+// against exact geometry, and its P holds the cells deep inside it.
+func TestBuildFilterSoundnessHugeObject(t *testing.T) {
+	unit := geom.MBR{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
+	b := NewBuilder(unit, 12)
+	curve := hilbert.New(12)
+	g := b.Grid()
+	rng := rand.New(rand.NewSource(5))
+	huge := geom.NewPolygon(geom.Ring{
+		{X: 0.05, Y: 0.05}, {X: 0.95, Y: 0.05}, {X: 0.95, Y: 0.6}, {X: 0.05, Y: 0.6},
+	})
+	hugeAp, err := b.Build(huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 60; trial++ {
+		x := rng.Float64() * 0.9
+		y := rng.Float64() * 0.9
+		small := rect(x, y, x+0.03, y+0.03)
+		smallAp, err := b.Build(small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth := polygonsIntersect(huge, small)
+		switch IntersectionFilter(hugeAp, smallAp) {
+		case DefiniteDisjoint:
+			if truth {
+				t.Fatalf("trial %d: disjoint verdict on intersecting pair", trial)
+			}
+		case DefiniteIntersect:
+			if !truth {
+				t.Fatalf("trial %d: intersect verdict on disjoint pair", trial)
+			}
+		}
+		// A small square strictly inside the huge one sits in its P.
+		c := small.Bounds().Center()
+		inner := x > 0.06 && x+0.03 < 0.94 && y > 0.06 && y+0.03 < 0.59
+		if inner && !hugeAp.P.ContainsCell(curve.D(uint32(g.Col(c.X)), uint32(g.Row(c.Y)))) {
+			t.Errorf("trial %d: cell of inner square centre %v not in the huge object's P", trial, c)
+		}
 	}
 }
 

@@ -125,6 +125,24 @@ func TestPipelinesAgree(t *testing.T) {
 	}
 }
 
+// TestPipelinesAgreeHugeCoordinate: a valid triangle with one vertex at
+// x = 1e300, far outside the 16×16 space, contains the square
+// [7.2, 8.8]². With 1e300 mapped to grid column 0, P+C and APRIL
+// answered disjoint while ST2 and OP2 answered contains.
+func TestPipelinesAgreeHugeCoordinate(t *testing.T) {
+	b := april.NewBuilder(geom.MBR{MinX: 0, MinY: 0, MaxX: 16, MaxY: 16}, 4)
+	tri := geom.NewPolygon(geom.Ring{{X: 1, Y: 1}, {X: 1e300, Y: 8}, {X: 1, Y: 15}})
+	if err := geom.ValidatePolygon(tri); err != nil {
+		t.Fatalf("fixture must be valid input: %v", err)
+	}
+	r, s := obj(t, b, 0, tri), obj(t, b, 1, rect(7.2, 7.2, 8.8, 8.8))
+	for _, m := range Methods {
+		if got := FindRelation(m, r, s).Relation; got != de9im.Contains {
+			t.Errorf("%v: %v, want contains", m, got)
+		}
+	}
+}
+
 // TestPCFilterEffectiveness: the P+C pipeline must settle strictly more
 // pairs than APRIL on a containment-heavy workload (the paper's headline
 // mechanism).

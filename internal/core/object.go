@@ -83,14 +83,3 @@ func NewScratchRefiner() Refiner {
 		return de9im.RelateScratch(r.Prepared(), s.Prepared(), sc)
 	}
 }
-
-// NewObjectAdaptive is NewObject with the adaptive-order approximation
-// builder: objects too large for the base grid get a coarser, still sound
-// approximation instead of an error.
-func NewObjectAdaptive(id int, p *geom.Polygon, b *april.Builder) (*Object, error) {
-	ap, err := b.BuildAdaptive(p)
-	if err != nil {
-		return nil, fmt.Errorf("core: object %d: %w", id, err)
-	}
-	return &Object{ID: id, Poly: p, MBR: p.Bounds(), Approx: ap}, nil
-}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/april"
 	"repro/internal/datagen"
-	"repro/internal/geom"
 	"repro/internal/interval"
 )
 
@@ -133,16 +132,5 @@ func TestReadErrors(t *testing.T) {
 	hostile = append(hostile, 0xff, 0xff, 0xff, 0xff)
 	if _, err := Read(bytes.NewReader(hostile)); err == nil || !strings.Contains(err.Error(), "implausible blob size") {
 		t.Errorf("oversized blob length: err = %v, want implausible blob size", err)
-	}
-}
-
-func TestPrecomputeError(t *testing.T) {
-	// An object spanning nearly the whole space at a deep order exceeds
-	// the raster window limit.
-	space := geom.MBR{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
-	b := april.NewBuilder(space, 16)
-	huge := datagen.Rect(geom.MBR{MinX: 0.001, MinY: 0.001, MaxX: 0.999, MaxY: 0.999})
-	if _, err := Precompute("X", "huge", []*geom.Polygon{huge}, b); err == nil {
-		t.Error("expected window-too-large failure")
 	}
 }

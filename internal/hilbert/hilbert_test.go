@@ -134,9 +134,10 @@ func absDiff(a, b uint64) float64 {
 	return float64(b - a)
 }
 
-// TestHierarchicalNesting verifies the property the adaptive-order APRIL
-// builder relies on: the order-k cell containing a point occupies one
-// contiguous id range of the order-o curve, obtained by bit shifting.
+// TestHierarchicalNesting verifies the property the APRIL builder's
+// quadrant descent relies on: the order-k cell containing a point
+// occupies one contiguous id range of the order-o curve, obtained by bit
+// shifting.
 func TestHierarchicalNesting(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for _, pair := range [][2]uint{{3, 6}, {5, 9}, {8, 16}} {

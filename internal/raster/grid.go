@@ -1,13 +1,11 @@
-// Package raster classifies the cells of a fine-grained global grid
-// against a polygon: FULL cells lie entirely inside the polygon, PARTIAL
-// cells are touched by its boundary, and the rest are EMPTY. The APRIL
-// approximation builder turns these classes into the Progressive (FULL
-// only) and Conservative (FULL + PARTIAL) interval lists of the paper.
+// Package raster lays the paper's fine-grained global grid over the data
+// space and finds the cells a polygon's boundary touches (the PARTIAL
+// cells). The APRIL approximation builder classifies every other cell
+// from those alone: a region of the grid the boundary does not enter is
+// uniformly inside or outside the polygon.
 package raster
 
 import (
-	"fmt"
-
 	"repro/internal/geom"
 )
 
@@ -51,13 +49,23 @@ func (g Grid) Space() geom.MBR { return g.space }
 func (g Grid) CellSize() (w, h float64) { return g.cellW, g.cellH }
 
 // Col returns the column of world coordinate x, clamped to the grid.
-func (g Grid) Col(x float64) int {
-	return g.clamp(int((x - g.space.MinX) / g.cellW))
-}
+func (g Grid) Col(x float64) int { return g.index((x - g.space.MinX) / g.cellW) }
 
 // Row returns the row of world coordinate y, clamped to the grid.
-func (g Grid) Row(y float64) int {
-	return g.clamp(int((y - g.space.MinY) / g.cellH))
+func (g Grid) Row(y float64) int { return g.index((y - g.space.MinY) / g.cellH) }
+
+// index clamps a fractional cell index to the grid before converting it:
+// converting first would overflow for coordinates far outside the space
+// (on amd64 int(1e300) is the minimum int, which then clamps to the wrong
+// edge). NaN maps to 0.
+func (g Grid) index(f float64) int {
+	if !(f >= 0) {
+		return 0
+	}
+	if f >= float64(g.side) {
+		return int(g.side) - 1
+	}
+	return int(f)
 }
 
 func (g Grid) clamp(v int) int {
@@ -83,87 +91,4 @@ func (g Grid) CellCenter(col, row int) geom.Point {
 		X: g.space.MinX + (float64(col)+0.5)*g.cellW,
 		Y: g.space.MinY + (float64(row)+0.5)*g.cellH,
 	}
-}
-
-// CellState classifies one grid cell against a polygon.
-type CellState uint8
-
-// Cell states.
-const (
-	Empty   CellState = iota // cell does not intersect the polygon
-	Partial                  // polygon boundary passes through the cell
-	Full                     // cell lies entirely inside the polygon
-)
-
-func (s CellState) String() string {
-	switch s {
-	case Empty:
-		return "empty"
-	case Partial:
-		return "partial"
-	default:
-		return "full"
-	}
-}
-
-// Raster is the cell classification of one polygon over its MBR window.
-type Raster struct {
-	ColMin, RowMin int
-	W, H           int
-	states         []CellState
-}
-
-// At returns the state of global cell (col, row); cells outside the window
-// are Empty.
-func (r *Raster) At(col, row int) CellState {
-	c, w := col-r.ColMin, row-r.RowMin
-	if c < 0 || c >= r.W || w < 0 || w >= r.H {
-		return Empty
-	}
-	return r.states[w*r.W+c]
-}
-
-// Each calls fn for every non-empty cell with its global coordinates.
-func (r *Raster) Each(fn func(col, row int, s CellState)) {
-	for y := 0; y < r.H; y++ {
-		for x := 0; x < r.W; x++ {
-			if s := r.states[y*r.W+x]; s != Empty {
-				fn(r.ColMin+x, r.RowMin+y, s)
-			}
-		}
-	}
-}
-
-// Counts returns the number of full and partial cells.
-func (r *Raster) Counts() (full, partial int) {
-	for _, s := range r.states {
-		switch s {
-		case Full:
-			full++
-		case Partial:
-			partial++
-		}
-	}
-	return full, partial
-}
-
-// ErrWindowTooLarge is returned when a polygon's MBR covers more grid
-// cells than maxWindowCells; callers should use a coarser grid for such
-// objects.
-type ErrWindowTooLarge struct {
-	Cells uint64
-}
-
-func (e ErrWindowTooLarge) Error() string {
-	return fmt.Sprintf("raster: window of %d cells exceeds limit", e.Cells)
-}
-
-// WindowCells returns the number of grid cells in the raster window of
-// an object with the given bounds (including the one-cell expansion
-// Rasterize applies), letting callers pick a grid order without paying
-// for a failed rasterization.
-func (g Grid) WindowCells(b geom.MBR) uint64 {
-	colMin, colMax := g.clamp(g.Col(b.MinX)-1), g.clamp(g.Col(b.MaxX)+1)
-	rowMin, rowMax := g.clamp(g.Row(b.MinY)-1), g.clamp(g.Row(b.MaxY)+1)
-	return uint64(colMax-colMin+1) * uint64(rowMax-rowMin+1)
 }

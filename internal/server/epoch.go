@@ -271,7 +271,7 @@ func (g *Registry) MutateKey(name string, kind MutKind, id int, poly *geom.Polyg
 			return MutationResult{}, fmt.Errorf("server: invalid geometry: %w", err)
 		}
 		var err error
-		if obj, err = core.NewObjectAdaptive(id, poly, g.builder); err != nil {
+		if obj, err = core.NewObject(id, poly, g.builder); err != nil {
 			return MutationResult{}, fmt.Errorf("server: %w", err)
 		}
 	}

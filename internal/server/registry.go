@@ -150,8 +150,10 @@ type Registry struct {
 const DefaultCompactThreshold = 4096
 
 // NewRegistry creates a registry whose datasets and probes share a
-// 2^order × 2^order grid over the given data space. Geometry outside
-// the space cannot be approximated and is rejected at load/probe time.
+// 2^order × 2^order grid over the given data space. Geometry reaching
+// outside the space is accepted: the parts outside alias onto the
+// grid's edge cells, which keeps the approximations conservative (the
+// filters stay sound, merely less selective there).
 func NewRegistry(space geom.MBR, order uint) *Registry {
 	return &Registry{
 		builder:      april.NewBuilder(space, order),
@@ -238,8 +240,6 @@ func gid(ids []int, i int) int {
 }
 
 // Add preprocesses polygons into a named dataset and builds its R-tree.
-// Objects too large for the base grid fall back to the adaptive coarser
-// orders rather than failing the whole dataset.
 func (g *Registry) Add(name, entity string, polys []*geom.Polygon) (*Entry, error) {
 	owned, ids := g.ownedSubset(polys)
 	return g.add(name, entity, owned, ids)
@@ -270,7 +270,7 @@ func (g *Registry) build(name, entity string, polys []*geom.Polygon, ids []int) 
 	ds := &dataset.Dataset{Name: name, Entity: entity, Arena: arena,
 		Objects: make([]*core.Object, 0, len(polys))}
 	for i := range polys {
-		o, err := core.NewObjectAdaptive(gid(ids, i), arena.Polygon(i), g.builder)
+		o, err := core.NewObject(gid(ids, i), arena.Polygon(i), g.builder)
 		if err != nil {
 			return nil, fmt.Errorf("server: dataset %s: %w", name, err)
 		}
@@ -491,5 +491,5 @@ func (g *Registry) List() []DatasetInfo {
 // can run through the filters against any registered dataset. Probe
 // objects use ID -1: they exist for one request only.
 func (g *Registry) Probe(p *geom.Polygon) (*core.Object, error) {
-	return core.NewObjectAdaptive(-1, p, g.builder)
+	return core.NewObject(-1, p, g.builder)
 }

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/de9im"
+	"repro/internal/geom"
 )
 
 // newTestServer builds a service over registry sets and mounts it on an
@@ -107,6 +108,37 @@ func TestRelateMatchesDirect(t *testing.T) {
 		if got[id] != rel {
 			t.Errorf("object %d: got %q, want %q", id, got[id], rel)
 		}
+	}
+}
+
+// TestRelateHugeCoordinateProbe: a WKT probe with a vertex at x = 1e300,
+// far outside the registry's space, reaches the filters through
+// /v1/relate. The triangle contains the registered square; with 1e300
+// mapped to grid column 0 its approximation missed the square and the
+// probe answered nothing.
+func TestRelateHugeCoordinateProbe(t *testing.T) {
+	reg := NewRegistry(geom.MBR{MinX: 0, MinY: 0, MaxX: 16, MaxY: 16}, 4)
+	square := mustPoly(t, "POLYGON ((7.2 7.2, 8.8 7.2, 8.8 8.8, 7.2 8.8))")
+	if _, err := reg.Add("SQ", "squares", []*geom.Polygon{square}); err != nil {
+		t.Fatal(err)
+	}
+	svc := New(reg, Config{})
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		svc.Close()
+	})
+	const probe = "POLYGON ((1 1, 1e300 8, 1 15))"
+	want := directMatches(t, svc, "SQ", probe)
+	if len(want) != 1 || want[0] != "contains" {
+		t.Fatalf("direct evaluation = %v, want object 0 contained", want)
+	}
+	resp, err := NewClient(ts.URL).Relate(context.Background(), RelateRequest{Dataset: "SQ", WKT: probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Matches) != 1 || resp.Matches[0].ID != 0 || resp.Matches[0].Relation != want[0] {
+		t.Fatalf("matches = %+v, want %v", resp.Matches, want)
 	}
 }
 

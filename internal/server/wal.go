@@ -176,7 +176,7 @@ func (g *Registry) replayRecord(sl *slot, rec wal.Record) error {
 		if err != nil {
 			return fmt.Errorf("geometry: %w", err)
 		}
-		if obj, err = core.NewObjectAdaptive(rec.ID, poly, g.builder); err != nil {
+		if obj, err = core.NewObject(rec.ID, poly, g.builder); err != nil {
 			return err
 		}
 	}
