@@ -1,7 +1,7 @@
 # Developer targets; `make check` is the pre-commit gate.
 GO ?= go
 
-.PHONY: build fmt test race vet bench bench-json bench-compare benchtest loc check serve difftest faulttest e2e
+.PHONY: build fmt test race vet bench benchtest loc check serve difftest faulttest e2e
 
 build:
 	$(GO) build ./...
@@ -58,24 +58,6 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkObservedOverhead|BenchmarkTraceOverhead' -benchmem .
 	$(GO) test -run xxx -bench BenchmarkRouterFanout -benchmem ./internal/shard/router/
 	$(GO) test -run xxx -bench 'BenchmarkIngest|BenchmarkCompact' -benchmem ./internal/server/
-
-# One point of the benchmark trajectory (see README "Tracing & benchmark
-# trajectory"): a small fixed-seed benchrun suite written as JSON. CI
-# runs this as a smoke test of the recording harness; the checked-in
-# BENCH_N.json artifacts are produced by the full default suite
-# (`go run ./cmd/benchrun -label BENCH_N`; -out defaults to <label>.json).
-bench-json:
-	$(GO) run ./cmd/benchrun -scale 0.05 -pairs 500 -trials 3 -label bench-smoke
-	head -c 400 bench-smoke.json; echo
-
-# Benchmark comparison smoke (see README "Performance"): re-runs the
-# default suite at the checked-in baseline's workload parameters and
-# diffs against BENCH_7.json with `-regress 0` — gating on the harness
-# completing and the deterministic verdict fingerprints matching, never
-# on absolute timings (machines differ). A fingerprint drift means the
-# pipelines changed verdicts: a correctness failure, not a perf one.
-bench-compare:
-	$(GO) run ./cmd/benchrun -trials 1 -warmup 1 -label bench-ci -compare BENCH_7.json -regress 0
 
 # The end-to-end benchmark (bench/, see BENCHMARK.json) is a nested
 # module that `go build ./...` and `go test ./...` skip, yet it compiles

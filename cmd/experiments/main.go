@@ -103,8 +103,8 @@ func run(exp string, seed int64, scale float64, order uint, reg *obs.Registry) e
 			return err
 		}
 		if reg != nil {
-			// Aggregate sweep telemetry across combos, per method: the
-			// regression baseline every perf PR diffs against.
+			// Aggregate sweep telemetry across combos, per method, for
+			// the -metrics snapshot and the -pprof endpoint.
 			for _, row := range rows {
 				for _, st := range row.Stats {
 					st.Publish(reg, "fig7")

@@ -83,7 +83,7 @@ type options struct {
 	out         io.Writer // defaults to os.Stdout
 }
 
-func parseMethod(s string) (core.Method, error) {
+func methodByName(s string) (core.Method, error) {
 	for _, m := range core.Methods {
 		if m.String() == s {
 			return m, nil
@@ -114,7 +114,7 @@ func run(o options) error {
 	if o.out == nil {
 		o.out = os.Stdout
 	}
-	m, err := parseMethod(o.method)
+	m, err := methodByName(o.method)
 	if err != nil {
 		return err
 	}

@@ -148,10 +148,10 @@ func TestRunErrors(t *testing.T) {
 }
 
 func TestParsers(t *testing.T) {
-	if _, err := parseMethod("APRIL"); err != nil {
+	if _, err := methodByName("APRIL"); err != nil {
 		t.Error(err)
 	}
-	if _, err := parseMethod("april"); err == nil {
+	if _, err := methodByName("april"); err == nil {
 		t.Error("method names are case-sensitive")
 	}
 	if r, err := parseRelation("covered_by"); err != nil || r.String() != "covered_by" {

@@ -88,18 +88,52 @@ func TestCandidatePairsCachedAndSymmetric(t *testing.T) {
 	}
 }
 
+// fig7Golden is the deterministic verdict fingerprint of every Fig. 7
+// combo on the shared env (seed 2026, scale 0.08, default grid): the
+// candidate pair count, then per pipeline in core.Methods order (ST2,
+// OP2, APRIL, P+C) the {IF-settled, refined} counts. Data generation,
+// the APRIL approximations and the filters are all deterministic, so any
+// drift means a pipeline changed its verdicts.
+var fig7Golden = map[string]struct {
+	pairs    int
+	verdicts [core.NumMethods][2]int
+}{
+	"TL-TW":   {20, [core.NumMethods][2]int{{0, 20}, {0, 20}, {0, 20}, {3, 17}}},
+	"TL-TC":   {56, [core.NumMethods][2]int{{0, 56}, {0, 56}, {0, 56}, {56, 0}}},
+	"TC-TZ":   {47, [core.NumMethods][2]int{{0, 47}, {0, 47}, {0, 47}, {0, 47}}},
+	"OLE-OPE": {109, [core.NumMethods][2]int{{0, 109}, {0, 109}, {24, 85}, {49, 60}}},
+	"OLN-OPN": {92, [core.NumMethods][2]int{{0, 92}, {0, 92}, {10, 82}, {41, 51}}},
+	"OBE-OPE": {321, [core.NumMethods][2]int{{0, 321}, {0, 321}, {96, 225}, {219, 102}}},
+	"OBN-OPN": {129, [core.NumMethods][2]int{{0, 129}, {0, 129}, {30, 99}, {78, 51}}},
+}
+
 // TestFig7Shape verifies the paper's headline result holds on the
 // synthetic workload: P+C refines fewer pairs than APRIL, which refines
-// fewer than ST2/OP2 (always 100%), and P+C throughput beats ST2 on every
-// combination.
+// fewer than ST2/OP2 (always 100%), and every pipeline reports the same
+// relation histogram. Its deterministic_fingerprint subtest pins each
+// combo's verdict fingerprint to fig7Golden.
 func TestFig7Shape(t *testing.T) {
 	rows, err := env(t).Fig7()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 7 {
-		t.Fatalf("got %d rows", len(rows))
-	}
+	t.Run("deterministic_fingerprint", func(t *testing.T) {
+		if len(rows) != len(fig7Golden) {
+			t.Fatalf("got %d rows, want %d", len(rows), len(fig7Golden))
+		}
+		for _, r := range rows {
+			want, ok := fig7Golden[r.Combo]
+			if !ok {
+				t.Fatalf("combo %s has no golden fingerprint", r.Combo)
+			}
+			for i, st := range r.Stats {
+				if got := [2]int{st.IFSettled, st.Undetermined}; st.Pairs != want.pairs || got != want.verdicts[i] {
+					t.Errorf("%s %v: pairs %d, {IF-settled, refined} %v; golden %d, %v",
+						r.Combo, st.Method, st.Pairs, got, want.pairs, want.verdicts[i])
+				}
+			}
+		}
+	})
 	for _, r := range rows {
 		st2, op2, apr, pc := r.Stats[0], r.Stats[1], r.Stats[2], r.Stats[3]
 		if st2.UndeterminedPct() != 100 {

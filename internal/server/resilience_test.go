@@ -467,7 +467,10 @@ func TestRelatePanicIsolatedOverHTTP(t *testing.T) {
 	met := obs.NewRegistry()
 	reg := NewRegistry(resSpace, resOrder)
 	reg.Instrument(met)
-	if _, err := reg.register("grid", "squares", resPolys()); err != nil {
+	// Degraded, so every request touching grid runs ST2, which refines
+	// every MBR-surviving candidate: a probe over object 0 must hit the
+	// poison.
+	if _, err := reg.AddDegraded("grid", "squares", resPolys()); err != nil {
 		t.Fatal(err)
 	}
 	e, _ := reg.Get("grid")
@@ -481,11 +484,8 @@ func TestRelatePanicIsolatedOverHTTP(t *testing.T) {
 	c := NewClient(ts.URL)
 	ctx := context.Background()
 
-	// ST2 refines every MBR-surviving candidate, so a probe over object
-	// 0 must hit the poison.
 	_, err := c.Relate(ctx, RelateRequest{
-		Dataset: "grid", Method: "ST2",
-		WKT: "POLYGON ((5 5, 30 5, 30 30, 5 30, 5 5))",
+		Dataset: "grid", WKT: "POLYGON ((5 5, 30 5, 30 30, 5 30, 5 5))",
 	})
 	var api *APIError
 	if !errors.As(err, &api) || api.StatusCode != http.StatusInternalServerError {
@@ -504,8 +504,7 @@ func TestRelatePanicIsolatedOverHTTP(t *testing.T) {
 
 	// A probe far from the poison answers normally: the process survived.
 	resp, err := c.Relate(ctx, RelateRequest{
-		Dataset: "grid", Method: "ST2",
-		WKT: "POLYGON ((200 200, 240 200, 240 240, 200 240, 200 200))",
+		Dataset: "grid", WKT: "POLYGON ((200 200, 240 200, 240 240, 200 240, 200 200))",
 	})
 	if err != nil {
 		t.Fatalf("healthy probe after panic: %v", err)
@@ -530,9 +529,9 @@ func TestRelatePanicIsolatedOverHTTP(t *testing.T) {
 		}
 	}
 	for _, req := range []JoinRequest{
-		{Left: "grid", Right: "grid2", Method: "ST2"},
-		{Left: "grid", Right: "grid2", Method: "ST2", Predicate: "intersects"},
-		{Left: "grid", Right: "grid2", Method: "ST2", Mask: "T*F**F***"},
+		{Left: "grid", Right: "grid2"},
+		{Left: "grid", Right: "grid2", Predicate: "intersects"},
+		{Left: "grid", Right: "grid2", Mask: "T*F**F***"},
 	} {
 		before := met.Counter("server_pair_panics_total").Value()
 		_, err = c.Join(ctx, req)

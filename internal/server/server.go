@@ -479,18 +479,6 @@ func decodeBody(r *http.Request, into any) error {
 	return nil
 }
 
-func parseMethod(name string) (core.Method, error) {
-	if name == "" {
-		return core.PC, nil
-	}
-	for _, m := range core.Methods {
-		if m.String() == name {
-			return m, nil
-		}
-	}
-	return 0, errf(http.StatusBadRequest, "unknown method %q", name)
-}
-
 func parseRelation(name string) (de9im.Relation, error) {
 	for rel := de9im.Relation(0); int(rel) < de9im.NumRelations; rel++ {
 		if rel.String() == name {
@@ -529,10 +517,7 @@ func (s *Server) handleRelate(ctx context.Context, r *http.Request) (any, error)
 	if !ok {
 		return nil, errf(http.StatusNotFound, "unknown dataset %q", req.Dataset)
 	}
-	method, err := parseMethod(req.Method)
-	if err != nil {
-		return nil, err
-	}
+	method := core.PC
 	rsp := trace.FromContext(ctx)
 	rsp.SetStr("dataset", req.Dataset)
 	if entry.Degraded {
@@ -616,10 +601,7 @@ func (s *Server) handleJoin(ctx context.Context, r *http.Request) (any, error) {
 	if !ok {
 		return nil, errf(http.StatusNotFound, "unknown dataset %q", req.Right)
 	}
-	method, err := parseMethod(req.Method)
-	if err != nil {
-		return nil, err
-	}
+	method := core.PC
 	rsp := trace.FromContext(ctx)
 	rsp.SetStr("left", req.Left)
 	rsp.SetStr("right", req.Right)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/de9im"
 	"repro/internal/geom"
 )
@@ -216,7 +218,6 @@ func TestRequestValidation(t *testing.T) {
 		{"missing geometry", RelateRequest{Dataset: "OPE"}, http.StatusBadRequest},
 		{"bad wkt", RelateRequest{Dataset: "OPE", WKT: "POLYGO ((0 0))"}, http.StatusBadRequest},
 		{"both geometries", RelateRequest{Dataset: "OPE", WKT: probeWKT, GeoJSON: []byte(`{}`)}, http.StatusBadRequest},
-		{"bad method", RelateRequest{Dataset: "OPE", WKT: probeWKT, Method: "FAST"}, http.StatusBadRequest},
 		{"bad predicate", RelateRequest{Dataset: "OPE", WKT: probeWKT, Predicate: "touches-ish"}, http.StatusBadRequest},
 		{"bad mask", RelateRequest{Dataset: "OPE", WKT: probeWKT, Mask: "TTT"}, http.StatusBadRequest},
 		{"pred and mask", RelateRequest{Dataset: "OPE", WKT: probeWKT, Predicate: "intersects", Mask: "T********"}, http.StatusBadRequest},
@@ -230,6 +231,45 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if _, err := c.Join(ctx, JoinRequest{Left: "OPE", Right: "missing"}); err == nil {
 		t.Error("join with unknown right dataset must fail")
+	}
+}
+
+// TestLegacyMethodFieldIgnored: the server picks the pipeline, so a body
+// from an older client that still names one in "method" — valid or not —
+// answers exactly as the same body without it.
+func TestLegacyMethodFieldIgnored(t *testing.T) {
+	_, c := newTestServer(t, Config{JoinWorkers: 1}, "OLE", "OPE")
+	post := func(route, body string) map[string]any {
+		t.Helper()
+		resp, err := http.Post(c.BaseURL+route, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d", route, body, resp.StatusCode)
+		}
+		var out map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		delete(out, "elapsed_ms")
+		return out
+	}
+	for _, tc := range []struct{ route, body string }{
+		{"/v1/relate", `{"dataset":"OPE","wkt":"` + probeWKT + `","limit":100000%s}`},
+		{"/v1/join", `{"left":"OLE","right":"OPE","limit":100000%s}`},
+	} {
+		want := post(tc.route, fmt.Sprintf(tc.body, ""))
+		if want["candidates"] == float64(0) {
+			t.Fatalf("%s: no candidates; fixture broken", tc.route)
+		}
+		for _, method := range []string{"ST2", "FAST"} {
+			got := post(tc.route, fmt.Sprintf(tc.body, `,"method":"`+method+`"`))
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s with method %q:\n got %v\nwant %v", tc.route, method, got, want)
+			}
+		}
 	}
 }
 
@@ -456,11 +496,15 @@ func TestDeadlineReturns504(t *testing.T) {
 }
 
 // A real join under a 1ms budget: candidate generation plus an ST2 sweep
-// (refines every pair) cannot finish, and the context must cut it short.
+// (refines every pair; forced by the degraded OBE) cannot finish, and the
+// context must cut it short.
 func TestDeadlineCancelsJoinSweep(t *testing.T) {
-	_, c := newTestServer(t, Config{JoinWorkers: 1}, "OBE", "OPE")
+	svc, c := newTestServer(t, Config{JoinWorkers: 1}, "OPE")
+	if _, err := svc.data.AddDegraded("OBE", datagen.EntityTypes["OBE"], testSuite().Sets["OBE"]); err != nil {
+		t.Fatal(err)
+	}
 	_, err := c.Join(context.Background(), JoinRequest{
-		Left: "OBE", Right: "OPE", Method: "ST2", TimeoutMS: 1, Limit: 100000,
+		Left: "OBE", Right: "OPE", TimeoutMS: 1, Limit: 100000,
 	})
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || !apiErr.IsDeadline() {

@@ -18,7 +18,8 @@ import (
 // find-relation mode by default, relate_p with Predicate, or an
 // arbitrary DE-9IM mask query with Mask (Predicate and Mask are
 // mutually exclusive). Exactly one of WKT or GeoJSON supplies the probe
-// geometry.
+// geometry. The server picks the pipeline: P+C, or ST2 when a dataset
+// involved is degraded.
 type RelateRequest struct {
 	// Dataset names the registered dataset to probe against.
 	Dataset string `json:"dataset"`
@@ -34,8 +35,6 @@ type RelateRequest struct {
 	// Mask asks the three-argument ST_Relate form with a 9-character
 	// DE-9IM pattern such as "T*F**F***".
 	Mask string `json:"mask,omitempty"`
-	// Method selects the pipeline (ST2|OP2|APRIL|P+C); default P+C.
-	Method string `json:"method,omitempty"`
 	// Limit caps the returned matches (default and ceiling are server
 	// configuration); Truncated reports when the cap was hit.
 	Limit int `json:"limit,omitempty"`
@@ -114,10 +113,9 @@ type RelateResponse struct {
 type JoinRequest struct {
 	Left  string `json:"left"`
 	Right string `json:"right"`
-	// Predicate, Mask, Method, Limit, TimeoutMS as in RelateRequest.
+	// Predicate, Mask, Limit, TimeoutMS as in RelateRequest.
 	Predicate string `json:"predicate,omitempty"`
 	Mask      string `json:"mask,omitempty"`
-	Method    string `json:"method,omitempty"`
 	Limit     int    `json:"limit,omitempty"`
 	TimeoutMS int64  `json:"timeout_ms,omitempty"`
 }

@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/hilbert"
+	"repro/internal/raster"
 )
 
 // DefaultRouteOrder is the default routing-grid order: a 2^6 × 2^6
@@ -75,11 +76,11 @@ func ParseKeyRange(s string) (KeyRange, error) {
 
 // grid maps data-space coordinates to routing-grid cells and their
 // Hilbert ids. Coordinates outside the space clamp to the border cells,
-// the usual convention of a PBSM grid partitioning.
+// the usual convention of a PBSM grid partitioning; raster.Grid clamps
+// before converting, so even ±1e300 lands on the right border.
 type grid struct {
-	space  geom.MBR
-	curve  hilbert.Curve
-	cw, ch float64 // cell width and height
+	cells raster.Grid
+	curve hilbert.Curve
 }
 
 func newGrid(space geom.MBR, order uint) (grid, error) {
@@ -89,27 +90,12 @@ func newGrid(space geom.MBR, order uint) (grid, error) {
 	if order == 0 || order > hilbert.MaxOrder {
 		return grid{}, fmt.Errorf("shard: routing order %d out of range [1, %d]", order, hilbert.MaxOrder)
 	}
-	c := hilbert.New(order)
-	side := float64(c.Side())
-	return grid{space: space, curve: c, cw: space.Width() / side, ch: space.Height() / side}, nil
+	return grid{cells: raster.NewGrid(space, order), curve: hilbert.New(order)}, nil
 }
 
 // cellOf returns the (clamped) grid cell containing point (x, y).
 func (g grid) cellOf(x, y float64) (uint32, uint32) {
-	cx := int64((x - g.space.MinX) / g.cw)
-	cy := int64((y - g.space.MinY) / g.ch)
-	side := int64(g.curve.Side())
-	if cx < 0 {
-		cx = 0
-	} else if cx >= side {
-		cx = side - 1
-	}
-	if cy < 0 {
-		cy = 0
-	} else if cy >= side {
-		cy = side - 1
-	}
-	return uint32(cx), uint32(cy)
+	return uint32(g.cells.Col(x)), uint32(g.cells.Row(y))
 }
 
 // span returns the inclusive cell rectangle covered by box.
@@ -168,7 +154,7 @@ func (p *Plan) Ranges() []KeyRange {
 }
 
 // Space returns the routing data space.
-func (p *Plan) Space() geom.MBR { return p.g.space }
+func (p *Plan) Space() geom.MBR { return p.g.cells.Space() }
 
 // RouteOrder returns the routing-grid order.
 func (p *Plan) RouteOrder() uint { return p.g.curve.Order() }
@@ -254,7 +240,7 @@ func (a *Assignment) Range() KeyRange { return a.rng }
 func (a *Assignment) RouteOrder() uint { return a.g.curve.Order() }
 
 // Space returns the routing data space.
-func (a *Assignment) Space() geom.MBR { return a.g.space }
+func (a *Assignment) Space() geom.MBR { return a.g.cells.Space() }
 
 // Overlaps reports whether any routing cell covered by box belongs to
 // the shard — whether an object with that MBR must be stored here.

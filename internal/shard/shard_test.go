@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
@@ -88,16 +89,17 @@ func TestShardsForBrute(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(11))
 	side := uint32(1) << 3
+	cw, ch := p.g.cells.CellSize()
 	for trial := 0; trial < 200; trial++ {
 		box := randBox(rng)
 		want := make(map[int]bool)
 		for cy := uint32(0); cy < side; cy++ {
 			for cx := uint32(0); cx < side; cx++ {
 				cellBox := geom.MBR{
-					MinX: testSpace.MinX + float64(cx)*p.g.cw,
-					MinY: testSpace.MinY + float64(cy)*p.g.ch,
-					MaxX: testSpace.MinX + float64(cx+1)*p.g.cw,
-					MaxY: testSpace.MinY + float64(cy+1)*p.g.ch,
+					MinX: testSpace.MinX + float64(cx)*cw,
+					MinY: testSpace.MinY + float64(cy)*ch,
+					MaxX: testSpace.MinX + float64(cx+1)*cw,
+					MaxY: testSpace.MinY + float64(cy+1)*ch,
 				}
 				// Half-open cells: a box touching only the max edge of a
 				// cell belongs to the next cell (cellOf truncation), so
@@ -235,6 +237,40 @@ func TestClampOutsideSpace(t *testing.T) {
 	} {
 		if got := p.ShardsFor(box); len(got) == 0 {
 			t.Errorf("box %+v: empty scatter set", box)
+		}
+	}
+}
+
+// TestHugeCoordinatesClampToSpaceEdge: a box reaching ±1e300 routes,
+// stores and owns exactly like the same box clipped to the space edge.
+// A cell index converted to an integer before clamping overflows (on
+// amd64 int64(1e300) is the minimum int64) and lands on column 0, so the
+// router would skip the shards covering the far side of the space.
+func TestHugeCoordinatesClampToSpaceEdge(t *testing.T) {
+	space := geom.MBR{MinX: 0, MinY: 0, MaxX: 1024, MaxY: 1024}
+	p, err := NewPlan(space, 6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ huge, clipped geom.MBR }{
+		{geom.MBR{MinX: 10, MinY: 10, MaxX: 1e300, MaxY: 20}, geom.MBR{MinX: 10, MinY: 10, MaxX: 1024, MaxY: 20}},
+		{geom.MBR{MinX: 10, MinY: 10, MaxX: 20, MaxY: 1e300}, geom.MBR{MinX: 10, MinY: 10, MaxX: 20, MaxY: 1024}},
+		{geom.MBR{MinX: -1e300, MinY: 500, MaxX: 20, MaxY: 520}, geom.MBR{MinX: 0, MinY: 500, MaxX: 20, MaxY: 520}},
+		{geom.MBR{MinX: -1e300, MinY: -1e300, MaxX: 1e300, MaxY: 1e300}, space},
+		{geom.MBR{MinX: 1e300, MinY: 10, MaxX: 1e300, MaxY: 20}, geom.MBR{MinX: 1024, MinY: 10, MaxX: 1024, MaxY: 20}},
+		{geom.MBR{MinX: 1000, MinY: 1e300, MaxX: 1e300, MaxY: 1e300}, geom.MBR{MinX: 1000, MinY: 1024, MaxX: 1024, MaxY: 1024}},
+	} {
+		if got, want := p.ShardsFor(tc.huge), p.ShardsFor(tc.clipped); !reflect.DeepEqual(got, want) {
+			t.Errorf("ShardsFor(%+v) = %v, clipped box gives %v", tc.huge, got, want)
+		}
+		for i := 0; i < p.NumShards(); i++ {
+			a := p.Assignment(i)
+			if got, want := a.Overlaps(tc.huge), a.Overlaps(tc.clipped); got != want {
+				t.Errorf("shard %d: Overlaps(%+v) = %v, clipped box gives %v", i, tc.huge, got, want)
+			}
+			if got, want := a.Owns(tc.huge, tc.huge), a.Owns(tc.clipped, tc.clipped); got != want {
+				t.Errorf("shard %d: Owns(%+v) = %v, clipped box gives %v", i, tc.huge, got, want)
+			}
 		}
 	}
 }
