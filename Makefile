@@ -24,8 +24,13 @@ test:
 # serving tier (scatter goroutines racing the breaker set and the
 # round-robin replica cursors), and the WAL (group-commit leaders
 # racing enqueuers, compaction-driven prunes, and health scrapes).
+# One pass rarely lands a compaction's residual replay beside a
+# concurrent read, so the epoch-swap load test repeats 30 times
+# (≈ 15 s): it is the test that catches a replay writing to an object
+# readers can already see.
 race:
 	$(GO) test -race ./internal/core/ ./internal/harness/ ./internal/obs/ ./internal/server/ ./internal/de9im/ ./internal/oracle/ ./internal/snapshot/ ./internal/fault/ ./internal/trace/ ./internal/shard/ ./internal/shard/router/ ./internal/wal/
+	$(GO) test -race -count=30 -run TestEpochSwapConsistencyUnderLoad ./internal/server/
 
 # Differential correctness run (see README "Correctness"): a fixed-seed
 # sweep of generated lattice pairs through every production path,

@@ -25,8 +25,6 @@ import (
 	"repro/internal/geojson"
 	"repro/internal/geom"
 	"repro/internal/join"
-	"repro/internal/linkset"
-	"repro/internal/overlay"
 	"repro/internal/wkt"
 )
 
@@ -171,49 +169,6 @@ func ParseMask(s string) (Mask, error) { return de9im.ParseMask(s) }
 func RelateMask(m Method, r, s *Object, mask Mask) RelateResult {
 	return core.RelateMask(m, r, s, mask)
 }
-
-// SimplifyPolygon reduces a polygon's vertex count with Douglas-Peucker
-// at the given tolerance.
-func SimplifyPolygon(p *Polygon, tolerance float64) *Polygon {
-	return geom.SimplifyPolygon(p, tolerance)
-}
-
-// ConvexHull returns the convex hull of a point set as a CCW ring.
-func ConvexHull(pts []Point) Ring { return geom.ConvexHull(pts) }
-
-// Link is one discovered topological link between two entities.
-type Link = linkset.Link
-
-// LinkSet is a collection of discovered links with discovery statistics.
-type LinkSet = linkset.Set
-
-// DiscoverLinks runs geo-spatial interlinking between two collections:
-// every non-disjoint candidate pair becomes a typed link. Serialize with
-// LinkSet.WriteNTriples.
-func DiscoverLinks(left, right []*Object, m Method) *LinkSet {
-	return linkset.Discover(left, right, m)
-}
-
-// NewMultiPolygon wraps polygons into a multipolygon.
-func NewMultiPolygon(polys ...*Polygon) *MultiPolygon { return geom.NewMultiPolygon(polys...) }
-
-// OverlayAreas holds the exact boolean-operation areas of two regions.
-type OverlayAreas = overlay.Areas
-
-// Overlay computes the exact areas of A∩B, A∪B, A\B and B\A.
-func Overlay(a, b *MultiPolygon) OverlayAreas { return overlay.Of(a, b) }
-
-// IntersectionArea returns the exact overlap area of two polygons.
-func IntersectionArea(a, b *Polygon) float64 {
-	return overlay.PolygonIntersectionArea(a, b)
-}
-
-// JaccardSimilarity returns area(A∩B)/area(A∪B).
-func JaccardSimilarity(a, b *MultiPolygon) float64 { return overlay.JaccardSimilarity(a, b) }
-
-// PolygonDistance returns the minimum distance between two polygons
-// (0 when they share a point).
-func PolygonDistance(a, b *Polygon) float64 { return geom.PolygonDistance(a, b) }
 
 // ParseGeoJSON reads a GeoJSON FeatureCollection, Feature or geometry
 // into multipolygons (properties are dropped; use internal/geojson for

@@ -113,27 +113,6 @@ func TestCandidatePairsContextFacade(t *testing.T) {
 	}
 }
 
-func TestOverlayFacade(t *testing.T) {
-	a := NewMultiPolygon(sqPoly(0, 0, 2, 2))
-	b := NewMultiPolygon(sqPoly(1, 0, 3, 2))
-	r := Overlay(a, b)
-	if r.Intersection != 2 || r.Union != 6 {
-		t.Errorf("overlay: %+v", r)
-	}
-	if j := JaccardSimilarity(a, b); j < 0.33 || j > 0.34 {
-		t.Errorf("jaccard = %v", j)
-	}
-	if v := IntersectionArea(sqPoly(0, 0, 2, 2), sqPoly(1, 0, 3, 2)); v != 2 {
-		t.Errorf("intersection area = %v", v)
-	}
-}
-
-func TestDistanceFacade(t *testing.T) {
-	if d := PolygonDistance(sqPoly(0, 0, 2, 2), sqPoly(5, 0, 7, 2)); d != 3 {
-		t.Errorf("distance = %v", d)
-	}
-}
-
 func TestGeoJSONFacade(t *testing.T) {
 	ms, err := ParseGeoJSON([]byte(`{"type":"Polygon","coordinates":[[[0,0],[4,0],[4,4],[0,4],[0,0]]]}`))
 	if err != nil || len(ms) != 1 {
@@ -149,23 +128,6 @@ func TestGeoJSONFacade(t *testing.T) {
 	back, err := ParseGeoJSON(data)
 	if err != nil || len(back) != 1 || back[0].Area() != 16 {
 		t.Fatalf("round trip: %v", err)
-	}
-}
-
-func TestLinkFacade(t *testing.T) {
-	b := NewBuilder(space(), 10)
-	mk := func(id int, x0, y0, x1, y1 float64) *Object {
-		o, err := NewObject(id, sqPoly(x0, y0, x1, y1), b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return o
-	}
-	left := []*Object{mk(0, 10, 10, 20, 20)}
-	right := []*Object{mk(0, 5, 5, 40, 40)}
-	set := DiscoverLinks(left, right, PC)
-	if len(set.Links) != 1 || set.Links[0].Relation != Inside {
-		t.Fatalf("links: %+v", set.Links)
 	}
 }
 

@@ -33,7 +33,6 @@ import (
 	"repro/internal/hilbert"
 	"repro/internal/interval"
 	"repro/internal/join"
-	"repro/internal/linkset"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -306,21 +305,6 @@ func BenchmarkRelatedWork(b *testing.B) {
 			chull.IntersectionFilter(ra, sa)
 		}
 	})
-}
-
-// BenchmarkLinkDiscovery measures full geo-spatial interlinking over the
-// OLE-OPE datasets: join + find relation + link materialization.
-func BenchmarkLinkDiscovery(b *testing.B) {
-	env := sharedEnv(b)
-	left := env.Datasets["OLE"].Objects
-	right := env.Datasets["OPE"].Objects
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		set := linkset.Discover(left, right, core.PC)
-		if len(set.Links) == 0 {
-			b.Fatal("no links")
-		}
-	}
 }
 
 // BenchmarkObservedOverhead compares the plain find-relation path

@@ -10,8 +10,7 @@
 //	experiments -exp fig9     # lake-in-park case study
 //	experiments -exp table5   # find relation vs relate_p throughput
 //	experiments -exp access   # unique-geometry access saving (Sec. 4.3)
-//	experiments -exp ablation # grid-order and P-list ablations
-//	experiments -exp progressive # progressive interlinking recall curve
+//	experiments -exp ablation # grid-order, P-list and related-work ablations
 //	experiments -exp all      # everything above
 //
 // -scale shrinks or grows the dataset cardinalities, -seed changes the
@@ -29,13 +28,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/harness"
-	"repro/internal/linkset"
 	"repro/internal/obs"
 )
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: table2|table3|fig7a|fig7b|table4|fig8|fig9|table5|access|progressive|ablation|all")
+		exp     = flag.String("exp", "all", "experiment: table2|table3|fig7a|fig7b|table4|fig8|fig9|table5|access|ablation|all")
 		seed    = flag.Int64("seed", 2026, "generator seed")
 		scale   = flag.Float64("scale", 1.0, "dataset cardinality multiplier")
 		order   = flag.Uint("order", datagen.DefaultOrder, "global grid order (2^order cells per side)")
@@ -167,20 +165,6 @@ func run(exp string, seed int64, scale float64, order uint, reg *obs.Registry) e
 			return err
 		}
 		harness.RenderDataAccess(os.Stdout, darows)
-	}
-	if all || exp == "progressive" {
-		section("Progressive interlinking (ref. [25]; OLE-OPE)")
-		left := env.Datasets["OLE"].Objects
-		right := env.Datasets["OPE"].Objects
-		_, curve := linkset.DiscoverProgressive(left, right, core.PC, 10)
-		fmt.Println("links found after fraction of pair verifications:")
-		for _, pt := range curve {
-			fmt.Printf("  %6d pairs -> %5d links\n", pt.Processed, pt.Links)
-		}
-		for _, budget := range []float64{0.1, 0.25, 0.5} {
-			fmt.Printf("early recall at %3.0f%% budget: %.1f%%\n",
-				100*budget, 100*linkset.EarlyRecall(curve, budget))
-		}
 	}
 	if all || exp == "ablation" {
 		section("Ablation: P-list contribution and narrowing-only (OLE-OPE)")

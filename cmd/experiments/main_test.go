@@ -11,7 +11,7 @@ import (
 func TestRunExperiments(t *testing.T) {
 	for _, exp := range []string{
 		"table2", "table3", "fig7a", "fig7b", "table4",
-		"fig9", "table5", "access", "progressive",
+		"fig9", "table5", "access",
 	} {
 		if err := run(exp, 3, 0.05, 11, nil); err != nil {
 			t.Fatalf("experiment %s: %v", exp, err)

@@ -23,9 +23,10 @@ type Approx struct {
 	MER geom.MBR
 }
 
-// Build computes the approximation of a polygon.
+// Build computes the approximation of a polygon. Holes cannot
+// contribute hull vertices, so the hull is the shell's.
 func Build(p *geom.Polygon) Approx {
-	return Approx{Hull: geom.HullOfPolygon(p), MER: EnclosedRect(p)}
+	return Approx{Hull: convexHull(p.Shell), MER: EnclosedRect(p)}
 }
 
 // EnclosedRect finds a large axis-aligned rectangle inside the polygon by
@@ -164,7 +165,7 @@ func IntersectionFilter(r, s Approx) april.Verdict {
 	if len(r.Hull) < 3 || len(s.Hull) < 3 {
 		return april.Inconclusive
 	}
-	if !geom.ConvexIntersects(r.Hull, s.Hull) {
+	if !convexIntersects(r.Hull, s.Hull) {
 		return april.DefiniteDisjoint
 	}
 	rOK := !r.MER.IsEmpty()

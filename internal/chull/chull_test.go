@@ -80,7 +80,7 @@ func TestBuild(t *testing.T) {
 		t.Fatal("MER missing")
 	}
 	// Progressive ⊆ object ⊆ conservative.
-	if !geom.ConvexContainsRing(a.Hull, p.Shell) {
+	if !convexContainsRing(a.Hull, p.Shell) {
 		t.Error("hull must contain the shell")
 	}
 	if geom.LocateInPolygon(a.MER.Center(), p) != geom.Inside {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/de9im"
 	"repro/internal/geom"
 )
 
@@ -200,9 +201,9 @@ func TestNearMissBlobDisjoint(t *testing.T) {
 		if err := geom.ValidatePolygon(nm); err != nil {
 			t.Fatalf("trial %d: invalid near-miss: %v", i, err)
 		}
-		// Must be truly disjoint from the host...
-		if geom.PolygonDistance(nm, host) <= 0 {
-			t.Fatalf("trial %d: near-miss touches the host", i)
+		// Must be truly disjoint from the host (not even meeting it)...
+		if rel := de9im.FindRelation(geom.NewMultiPolygon(nm), geom.NewMultiPolygon(host)); rel != de9im.Disjoint {
+			t.Fatalf("trial %d: near-miss is %v the host, want disjoint", i, rel)
 		}
 		// ...while (normally) overlapping the host's MBR so it survives
 		// the MBR filter. The corner fallback can rarely miss; just check

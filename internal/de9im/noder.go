@@ -164,52 +164,3 @@ func sortCuts(cuts []cut) {
 		}
 	})
 }
-
-// forEachNodedSub calls fn with every noded sub-segment of edge e given
-// its sorted cut run. Duplicate cut parameters (within 1e-12) collapse,
-// exactly as in the old per-edge noder.
-func forEachNodedSub(e *prepEdge, cuts []cut, fn func(p, q geom.Point)) {
-	if len(cuts) == 0 {
-		fn(e.a, e.b)
-		return
-	}
-	prev := 0.0
-	emit := func(t0, t1 float64) {
-		if t1-t0 > 1e-12 {
-			fn(geom.Lerp(e.a, e.b, t0), geom.Lerp(e.a, e.b, t1))
-		}
-	}
-	for _, c := range cuts {
-		if c.t-prev > 1e-12 {
-			emit(prev, c.t)
-			prev = c.t
-		}
-	}
-	emit(prev, 1)
-}
-
-// NodedSegments returns the boundary segments of a and b, each subdivided
-// at every intersection with the other's boundary. The overlay engine
-// builds its trapezoid sweep from these.
-func NodedSegments(a, b *geom.MultiPolygon) (as, bs [][2]geom.Point) {
-	pa, pb := prepareTopology(a), prepareTopology(b)
-	var sc Scratch
-	sc.node(pa, pb)
-	as = appendNoded(as, pa.edges, sc.rCuts)
-	bs = appendNoded(bs, pb.edges, sc.sCuts)
-	return as, bs
-}
-
-func appendNoded(out [][2]geom.Point, edges []prepEdge, cuts []cut) [][2]geom.Point {
-	c := 0
-	for i := range edges {
-		lo := c
-		for c < len(cuts) && cuts[c].edge == int32(i) {
-			c++
-		}
-		forEachNodedSub(&edges[i], cuts[lo:c], func(p, q geom.Point) {
-			out = append(out, [2]geom.Point{p, q})
-		})
-	}
-	return out
-}

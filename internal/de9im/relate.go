@@ -37,15 +37,7 @@ type Prepared struct {
 
 // Prepare builds the locator and edge tables for g.
 func Prepare(g *geom.MultiPolygon) *Prepared {
-	p := prepareTopology(g)
-	p.locator = geom.NewLocator(g)
-	return p
-}
-
-// prepareTopology builds everything except the locator — enough for
-// noding (NodedSegments), which never point-locates.
-func prepareTopology(g *geom.MultiPolygon) *Prepared {
-	p := &Prepared{Geom: g, bounds: g.Bounds()}
+	p := &Prepared{Geom: g, locator: geom.NewLocator(g), bounds: g.Bounds()}
 	g.Edges(func(a, b geom.Point) { p.edges = append(p.edges, newPrepEdge(a, b)) })
 	p.byMinX = make([]int32, len(p.edges))
 	for i := range p.byMinX {
@@ -125,8 +117,8 @@ func classifySide(edges []prepEdge, cuts []cut, loc *geom.Locator, in, on, out *
 			classifyMid(geom.Midpoint(e.a, e.b), loc, in, on, out)
 			continue
 		}
-		// Same dedup chain as forEachNodedSub, with the midpoint taken
-		// inline instead of through callbacks.
+		// Cut parameters within 1e-12 of each other collapse into one
+		// sub-segment boundary.
 		prev := 0.0
 		for _, ct := range run {
 			if ct.t-prev > 1e-12 {

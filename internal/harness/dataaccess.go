@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/de9im"
 	"repro/internal/geom"
-	"repro/internal/store"
 )
 
 // DataAccessRow reports the geometry I/O of one method over a workload
@@ -60,15 +59,15 @@ func (e *Env) DataAccess(cacheSize int) ([]DataAccessRow, error) {
 
 	rows := make([]DataAccessRow, 0, core.NumMethods)
 	for _, m := range core.Methods {
-		ls := store.New(lpolys, cacheSize)
-		rs := store.New(rpolys, cacheSize)
+		ls := newGeomStore(lpolys, cacheSize)
+		rs := newGeomStore(rpolys, cacheSize)
 		var fetchErr error
 		refiner := func(r, s *core.Object) de9im.Matrix {
-			lp, err := ls.Geometry(r.ID)
+			lp, err := ls.geometry(r.ID)
 			if err != nil && fetchErr == nil {
 				fetchErr = err
 			}
-			sp, err := rs.Geometry(s.ID)
+			sp, err := rs.geometry(s.ID)
 			if err != nil && fetchErr == nil {
 				fetchErr = err
 			}
@@ -83,13 +82,13 @@ func (e *Env) DataAccess(cacheSize int) ([]DataAccessRow, error) {
 		if fetchErr != nil {
 			return nil, fmt.Errorf("harness: data access: %w", fetchErr)
 		}
-		lst, rst := ls.Stats(), rs.Stats()
+		lst, rst := ls.stats, rs.stats
 		rows = append(rows, DataAccessRow{
 			Method:    m,
 			Loads:     lst.Loads + rst.Loads,
 			Hits:      lst.Hits + rst.Hits,
 			BytesRead: lst.BytesRead + rst.BytesRead,
-			StoreSize: ls.StoredBytes() + rs.StoredBytes(),
+			StoreSize: ls.storedBytes() + rs.storedBytes(),
 		})
 	}
 	return rows, nil

@@ -309,8 +309,11 @@ func (g *Registry) MutateKey(name string, kind MutKind, id int, poly *geom.Polyg
 
 // applyMutation derives the successor entry of e under m: a shallow
 // entry copy with a fresh delta. Caller serializes (the slot lock) and
-// publishes. The op's object id is assigned here for inserts, so
-// replaying a logged mutation reproduces the same id.
+// publishes. An insert's object gets its id here, before anything can
+// publish it; every other path only reads the object, because it may
+// already be visible to readers. Replays (WAL recovery, a compaction's
+// residual ops) therefore apply a logged insert as an upsert with its
+// recorded id.
 func applyMutation(e *Entry, m mutation) (*Entry, MutationResult, error) {
 	ne := *e
 	ne.Version = e.Version + 1
@@ -326,7 +329,6 @@ func applyMutation(e *Entry, m mutation) (*Entry, MutationResult, error) {
 		d.Objects = append(d.Objects, m.obj)
 
 	case MutUpsert:
-		m.obj.ID = m.id
 		if pos, ok := e.basePos(m.id); ok {
 			if !d.isDead(pos) {
 				d.setDead(pos) // supersede the base copy
@@ -480,6 +482,9 @@ func (g *Registry) Compact(name string) (CompactStats, error) {
 	cur := sl.cur.Load()
 	resid := cur.Delta.ops[snapLen:]
 	for _, op := range resid {
+		if op.kind == MutInsert {
+			op.kind = MutUpsert // op.id was assigned when it first applied
+		}
 		var err error
 		if ne, _, err = applyMutation(ne, op); err != nil {
 			sl.mu.Unlock()

@@ -1,142 +1,20 @@
-// Package store simulates the disk-resident geometry storage of a
-// spatial database: exact polygon geometries live in serialized form and
-// are decoded on demand through a bounded LRU cache, with byte-accurate
-// I/O accounting. The paper's Sec. 4.3 observes that the P+C pipeline
-// "avoids loading full object geometries" for most comparisons — this
-// package turns that claim into measured bytes (see the harness's
-// data-access experiment).
+// Package store is the one polygon wire format: the geometry blob that
+// dataset (.stj) files, snapshots and WAL records carry, plus its two
+// decoders (onto the heap, or straight into a geom.ArenaBuilder for
+// warm starts). The data-access experiment's simulated disk store keeps
+// the same blobs (see the harness).
 package store
 
 import (
-	"container/list"
 	"encoding/binary"
 	"fmt"
 	"math"
 
 	"repro/internal/geom"
-	"repro/internal/obs"
 )
 
-// IOStats counts storage accesses.
-type IOStats struct {
-	// Loads is the number of geometry fetches that missed the cache and
-	// had to be decoded from storage.
-	Loads int
-	// Hits is the number of fetches served by the cache.
-	Hits int
-	// BytesRead is the total serialized bytes decoded from storage.
-	BytesRead int64
-}
-
-// Store is a read-only geometry store with an LRU decode cache.
-type Store struct {
-	blobs    [][]byte
-	cache    map[int]*list.Element
-	order    *list.List // front = most recently used
-	capacity int
-	stats    IOStats
-
-	// Registry counters, nil until Instrument: one pointer check per
-	// access when observability is off.
-	obsHits   *obs.Counter
-	obsLoads  *obs.Counter
-	obsBytes  *obs.Counter
-	obsCached *obs.Gauge
-}
-
-type cacheEntry struct {
-	id   int
-	poly *geom.Polygon
-}
-
-// New creates a store holding the given polygons in serialized form.
-// cacheSize bounds the number of decoded geometries kept in memory;
-// 0 disables caching entirely.
-func New(polys []*geom.Polygon, cacheSize int) *Store {
-	s := &Store{
-		blobs:    make([][]byte, len(polys)),
-		cache:    make(map[int]*list.Element),
-		order:    list.New(),
-		capacity: cacheSize,
-	}
-	for i, p := range polys {
-		s.blobs[i] = EncodePolygon(p)
-	}
-	return s
-}
-
-// Len returns the number of stored geometries.
-func (s *Store) Len() int { return len(s.blobs) }
-
-// StoredBytes returns the total serialized size.
-func (s *Store) StoredBytes() int64 {
-	var n int64
-	for _, b := range s.blobs {
-		n += int64(len(b))
-	}
-	return n
-}
-
-// Stats returns the access counters.
-func (s *Store) Stats() IOStats { return s.stats }
-
-// Instrument mirrors the store's access counters into reg under prefix
-// (e.g. "store" -> store_cache_hits_total, store_cache_misses_total,
-// store_read_bytes_total, store_cached_objects). Counters accumulate
-// from the moment of the call; ResetStats does not clear them.
-func (s *Store) Instrument(reg *obs.Registry, prefix string) {
-	s.obsHits = reg.Counter(prefix + "_cache_hits_total")
-	s.obsLoads = reg.Counter(prefix + "_cache_misses_total")
-	s.obsBytes = reg.Counter(prefix + "_read_bytes_total")
-	s.obsCached = reg.Gauge(prefix + "_cached_objects")
-	s.obsCached.Set(int64(s.order.Len()))
-}
-
-// ResetStats clears the access counters (the cache is kept).
-func (s *Store) ResetStats() { s.stats = IOStats{} }
-
-// Geometry fetches and decodes polygon id, through the cache.
-func (s *Store) Geometry(id int) (*geom.Polygon, error) {
-	if id < 0 || id >= len(s.blobs) {
-		return nil, fmt.Errorf("store: id %d out of range [0,%d)", id, len(s.blobs))
-	}
-	if el, ok := s.cache[id]; ok {
-		s.stats.Hits++
-		if s.obsHits != nil {
-			s.obsHits.Inc()
-		}
-		s.order.MoveToFront(el)
-		return el.Value.(*cacheEntry).poly, nil
-	}
-	s.stats.Loads++
-	s.stats.BytesRead += int64(len(s.blobs[id]))
-	if s.obsLoads != nil {
-		s.obsLoads.Inc()
-		s.obsBytes.Add(int64(len(s.blobs[id])))
-	}
-	poly, err := DecodePolygon(s.blobs[id])
-	if err != nil {
-		return nil, fmt.Errorf("store: id %d: %w", id, err)
-	}
-	if s.capacity > 0 {
-		s.cache[id] = s.order.PushFront(&cacheEntry{id: id, poly: poly})
-		for s.order.Len() > s.capacity {
-			back := s.order.Back()
-			delete(s.cache, back.Value.(*cacheEntry).id)
-			s.order.Remove(back)
-		}
-		if s.obsCached != nil {
-			s.obsCached.Set(int64(s.order.Len()))
-		}
-	}
-	return poly, nil
-}
-
 // EncodePolygon serializes a polygon as ring count, then per ring a
-// vertex count and flat little-endian float64 coordinates. The format
-// is the store's on-"disk" geometry blob; the snapshot layer reuses it
-// so a dataset's geometry section is byte-identical to what the store
-// would hold.
+// vertex count and flat little-endian float64 coordinates.
 func EncodePolygon(p *geom.Polygon) []byte {
 	size := 4
 	rings := 1 + len(p.Holes)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/geom"
-	"repro/internal/obs"
 )
 
 func polys(t *testing.T, n int) []*geom.Polygon {
@@ -24,10 +23,8 @@ func polys(t *testing.T, n int) []*geom.Polygon {
 }
 
 func TestRoundTrip(t *testing.T) {
-	ps := polys(t, 20)
-	s := New(ps, 4)
-	for i, want := range ps {
-		got, err := s.Geometry(i)
+	for i, want := range polys(t, 20) {
+		got, err := DecodePolygon(EncodePolygon(want))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,141 +36,6 @@ func TestRoundTrip(t *testing.T) {
 				t.Fatalf("polygon %d vertex %d not bit-exact", i, j)
 			}
 		}
-	}
-}
-
-func TestCacheAccounting(t *testing.T) {
-	ps := polys(t, 10)
-	s := New(ps, 3)
-	if s.Len() != 10 || s.StoredBytes() == 0 {
-		t.Fatal("store empty")
-	}
-	// First accesses: all misses.
-	for i := 0; i < 3; i++ {
-		if _, err := s.Geometry(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.Loads != 3 || st.Hits != 0 {
-		t.Fatalf("after cold reads: %+v", st)
-	}
-	// Re-reading cached entries: hits, no bytes.
-	bytesBefore := st.BytesRead
-	for i := 0; i < 3; i++ {
-		if _, err := s.Geometry(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st = s.Stats()
-	if st.Hits != 3 || st.Loads != 3 || st.BytesRead != bytesBefore {
-		t.Fatalf("after warm reads: %+v", st)
-	}
-	// Evict by loading beyond capacity, then re-read an evicted entry.
-	if _, err := s.Geometry(5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Geometry(0); err != nil { // 0 was LRU -> evicted
-		t.Fatal(err)
-	}
-	st = s.Stats()
-	if st.Loads != 5 {
-		t.Fatalf("eviction not observed: %+v", st)
-	}
-	s.ResetStats()
-	if s.Stats() != (IOStats{}) {
-		t.Fatal("ResetStats failed")
-	}
-}
-
-// TestInstrumentedCounters scripts an access sequence against a
-// capacity-2 cache and asserts the registry counters step exactly with
-// it: cold misses, warm hits, and a miss+eviction round trip. The
-// registry view must agree with IOStats at every step.
-func TestInstrumentedCounters(t *testing.T) {
-	ps := polys(t, 6)
-	s := New(ps, 2)
-	reg := obs.NewRegistry()
-	s.Instrument(reg, "store")
-
-	hits := reg.Counter("store_cache_hits_total")
-	misses := reg.Counter("store_cache_misses_total")
-	bytes := reg.Counter("store_read_bytes_total")
-	cached := reg.Gauge("store_cached_objects")
-	if cached.Value() != 0 {
-		t.Fatalf("fresh store reports %d cached objects", cached.Value())
-	}
-	blobSize := func(id int) int64 { return int64(len(EncodePolygon(ps[id]))) }
-
-	type step struct {
-		id                  int
-		hits, misses, bytes int64
-		cached              int64
-	}
-	script := []step{
-		// Cold reads fill the cache: misses with byte reads.
-		{id: 0, hits: 0, misses: 1, bytes: blobSize(0), cached: 1},
-		{id: 1, hits: 0, misses: 2, bytes: blobSize(0) + blobSize(1), cached: 2},
-		// Warm reads: hits, no new bytes.
-		{id: 0, hits: 1, misses: 2, bytes: blobSize(0) + blobSize(1), cached: 2},
-		{id: 1, hits: 2, misses: 2, bytes: blobSize(0) + blobSize(1), cached: 2},
-		// Capacity 2: loading id 2 evicts the LRU entry (id 0).
-		{id: 2, hits: 2, misses: 3, bytes: blobSize(0) + blobSize(1) + blobSize(2), cached: 2},
-		// Re-reading the evicted id 0 must miss and re-read its bytes.
-		{id: 0, hits: 2, misses: 4, bytes: 2*blobSize(0) + blobSize(1) + blobSize(2), cached: 2},
-		// Re-loading id 0 evicted id 1 in turn, so reading 1 misses again:
-		// three generations of eviction.
-		{id: 1, hits: 2, misses: 5, bytes: 2*blobSize(0) + 2*blobSize(1) + blobSize(2), cached: 2},
-	}
-	for i, st := range script {
-		if _, err := s.Geometry(st.id); err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
-		if hits.Value() != st.hits || misses.Value() != st.misses || bytes.Value() != st.bytes {
-			t.Fatalf("step %d (read %d): hits=%d misses=%d bytes=%d, want %d/%d/%d",
-				i, st.id, hits.Value(), misses.Value(), bytes.Value(), st.hits, st.misses, st.bytes)
-		}
-		if cached.Value() != st.cached {
-			t.Fatalf("step %d: cached gauge = %d, want %d", i, cached.Value(), st.cached)
-		}
-		io := s.Stats()
-		if int64(io.Hits) != st.hits || int64(io.Loads) != st.misses || io.BytesRead != st.bytes {
-			t.Fatalf("step %d: IOStats %+v disagrees with registry", i, io)
-		}
-	}
-
-	// ResetStats clears the struct view but keeps the registry counters
-	// monotone, as documented.
-	s.ResetStats()
-	if s.Stats() != (IOStats{}) {
-		t.Fatal("ResetStats failed")
-	}
-	if misses.Value() == 0 {
-		t.Fatal("registry counters must survive ResetStats")
-	}
-}
-
-func TestNoCache(t *testing.T) {
-	ps := polys(t, 4)
-	s := New(ps, 0)
-	for k := 0; k < 3; k++ {
-		if _, err := s.Geometry(1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.Loads != 3 || st.Hits != 0 {
-		t.Fatalf("cacheless store: %+v", st)
-	}
-}
-
-func TestOutOfRange(t *testing.T) {
-	s := New(polys(t, 2), 2)
-	if _, err := s.Geometry(-1); err == nil {
-		t.Error("negative id should fail")
-	}
-	if _, err := s.Geometry(2); err == nil {
-		t.Error("out of range id should fail")
 	}
 }
 
