@@ -1,9 +1,9 @@
 // Command datagen generates the synthetic dataset suite and writes each
-// dataset to a file: the library's binary format (polygons + precomputed
-// APRIL approximations) by default, or WKT with -wkt.
+// dataset as a WKT file (one POLYGON per line) that topojoin and
+// topojoind -data read.
 //
 //	datagen -out data/ -scale 1.0 -seed 2026
-//	datagen -out data/ -wkt -sets OLE,OPE
+//	datagen -out data/ -sets OLE,OPE
 package main
 
 import (
@@ -14,9 +14,7 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/april"
 	"repro/internal/datagen"
-	"repro/internal/dataset"
 	"repro/internal/wkt"
 )
 
@@ -25,24 +23,21 @@ func main() {
 		out   = flag.String("out", "data", "output directory")
 		seed  = flag.Int64("seed", 2026, "generator seed")
 		scale = flag.Float64("scale", 1.0, "dataset cardinality multiplier")
-		order = flag.Uint("order", datagen.DefaultOrder, "global grid order")
-		asWKT = flag.Bool("wkt", false, "write WKT instead of the binary format")
 		sets  = flag.String("sets", "", "comma-separated dataset names (default: all)")
 	)
 	flag.Parse()
 
-	if err := run(*out, *seed, *scale, *order, *asWKT, *sets); err != nil {
+	if err := run(*out, *seed, *scale, *sets); err != nil {
 		fmt.Fprintln(os.Stderr, "datagen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out string, seed int64, scale float64, order uint, asWKT bool, sets string) error {
+func run(out string, seed int64, scale float64, sets string) error {
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
 	}
 	suite := datagen.NewSuite(seed, scale)
-	builder := april.NewBuilder(suite.Space, order)
 
 	want := map[string]bool{}
 	if sets != "" {
@@ -55,45 +50,23 @@ func run(out string, seed int64, scale float64, order uint, asWKT bool, sets str
 			continue
 		}
 		polys := suite.Sets[name]
-		if asWKT {
-			path := filepath.Join(out, name+".wkt")
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			w := bufio.NewWriter(f)
-			for _, p := range polys {
-				fmt.Fprintln(w, wkt.MarshalPolygon(p))
-			}
-			if err := w.Flush(); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("%s: %d polygons -> %s\n", name, len(polys), path)
-			continue
-		}
-		ds, err := dataset.Precompute(name, datagen.EntityTypes[name], polys, builder)
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(out, name+".stj")
+		path := filepath.Join(out, name+".wkt")
 		f, err := os.Create(path)
 		if err != nil {
 			return err
 		}
-		if err := ds.Write(f); err != nil {
+		w := bufio.NewWriter(f)
+		for _, p := range polys {
+			fmt.Fprintln(w, wkt.MarshalPolygon(p))
+		}
+		if err := w.Flush(); err != nil {
 			f.Close()
 			return err
 		}
 		if err := f.Close(); err != nil {
 			return err
 		}
-		s := ds.Sizes()
-		fmt.Printf("%s: %d polygons (%d vertices, approx %.1f KB) -> %s\n",
-			name, ds.Len(), s.Vertices, float64(s.Approx)/1024, path)
+		fmt.Printf("%s: %d polygons -> %s\n", name, len(polys), path)
 	}
 	return nil
 }

@@ -10,34 +10,33 @@ import (
 	"repro/internal/dataset"
 )
 
-func TestRunBinary(t *testing.T) {
+// TestRunSelectedSets checks that every selected dataset is written and
+// reads back with the generator's polygon count, and that unselected
+// datasets are not written.
+func TestRunSelectedSets(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(dir, 1, 0.02, datagen.DefaultOrder, false, "OLE,OPE"); err != nil {
+	if err := run(dir, 1, 0.02, "OLE,OPE"); err != nil {
 		t.Fatal(err)
 	}
+	suite := datagen.NewSuite(1, 0.02)
 	for _, name := range []string{"OLE", "OPE"} {
-		f, err := os.Open(filepath.Join(dir, name+".stj"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds, err := dataset.Read(f)
-		f.Close()
+		got, polys, err := dataset.ReadSource(filepath.Join(dir, name+".wkt"))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if ds.Name != name || ds.Len() == 0 {
-			t.Fatalf("%s: bad dataset %q with %d objects", name, ds.Name, ds.Len())
+		if got != name || len(polys) == 0 || len(polys) != len(suite.Sets[name]) {
+			t.Fatalf("%s: read back %q with %d polygons, want %d", name, got, len(polys), len(suite.Sets[name]))
 		}
 	}
 	// Unselected datasets are not written.
-	if _, err := os.Stat(filepath.Join(dir, "TL.stj")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, "TL.wkt")); !os.IsNotExist(err) {
 		t.Error("unselected dataset written")
 	}
 }
 
 func TestRunWKT(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(dir, 1, 0.02, datagen.DefaultOrder, true, "TL"); err != nil {
+	if err := run(dir, 1, 0.02, "TL"); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "TL.wkt"))
@@ -51,7 +50,7 @@ func TestRunWKT(t *testing.T) {
 }
 
 func TestRunBadDir(t *testing.T) {
-	if err := run(string([]byte{0}), 1, 0.01, 10, false, ""); err == nil {
+	if err := run(string([]byte{0}), 1, 0.01, ""); err == nil {
 		t.Error("invalid directory should fail")
 	}
 }

@@ -1,11 +1,13 @@
-// Command topojoin runs a spatial topology join between two preprocessed
-// datasets (built with datagen or aprilbuild): it produces the pairs of
-// objects whose MBRs intersect and evaluates either the find-relation
-// problem (the most specific relation of each pair) or a relate_p
-// predicate on each pair.
+// Command topojoin runs a spatial topology join between two source
+// datasets (.wkt or .geojson, e.g. written by datagen): it builds both
+// sides' APRIL approximations on one grid laid over the union of their
+// MBRs, produces the pairs of objects whose MBRs intersect, and evaluates
+// either the find-relation problem (the most specific relation of each
+// pair) or a relate_p predicate on each pair.
 //
-//	topojoin -left data/OLE.stj -right data/OPE.stj               # find relation
-//	topojoin -left data/OLE.stj -right data/OPE.stj -pred inside  # relate_p
+//	topojoin -left data/OLE.wkt -right data/OPE.wkt               # find relation
+//	topojoin -left data/OLE.wkt -right data/OPE.wkt -pred inside  # relate_p
+//	topojoin ... -order 16                                         # finer grid
 //	topojoin ... -method ST2 -v                                    # print pairs
 //	topojoin ... -metrics                                          # dump telemetry on exit
 //	topojoin ... -pprof localhost:6060                             # live pprof + /metrics
@@ -20,17 +22,21 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/april"
 	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/de9im"
+	"repro/internal/geom"
 	"repro/internal/join"
 	"repro/internal/obs"
 )
 
 func main() {
 	var (
-		left    = flag.String("left", "", "left dataset file")
-		right   = flag.String("right", "", "right dataset file")
+		left    = flag.String("left", "", "left source dataset file")
+		right   = flag.String("right", "", "right source dataset file")
+		order   = flag.Uint("order", datagen.DefaultOrder, "global grid order (2^order cells per side)")
 		pred    = flag.String("pred", "", "relate predicate (equals|meets|inside|covered_by|contains|covers|intersects|disjoint); empty = find relation")
 		method  = flag.String("method", "P+C", "pipeline: ST2|OP2|APRIL|P+C")
 		verb    = flag.Bool("v", false, "print every result pair")
@@ -45,6 +51,7 @@ func main() {
 	opts := options{
 		left:    *left,
 		right:   *right,
+		order:   *order,
 		pred:    *pred,
 		method:  *method,
 		verbose: *verb,
@@ -76,6 +83,7 @@ func main() {
 // and a snapshot dump (tests pass their own registry to inspect it).
 type options struct {
 	left, right string
+	order       uint // defaults to datagen.DefaultOrder
 	pred        string
 	method      string
 	verbose     bool
@@ -101,28 +109,46 @@ func parseRelation(s string) (de9im.Relation, error) {
 	return 0, fmt.Errorf("unknown relation %q", s)
 }
 
-func loadDataset(path string) (*dataset.Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// loadPair reads both source files and builds them on one grid laid
+// over the union of their MBRs: the filters compare cell ids, so lists
+// built on different grids are not comparable.
+func loadPair(o options) (ld, rd *dataset.Dataset, err error) {
+	var names [2]string
+	var polys [2][]*geom.Polygon
+	space := geom.EmptyMBR()
+	for i, path := range []string{o.left, o.right} {
+		if names[i], polys[i], err = dataset.ReadSource(path); err != nil {
+			return nil, nil, err
+		}
+		for _, p := range polys[i] {
+			space = space.Expand(p.Bounds())
+		}
 	}
-	defer f.Close()
-	return dataset.Read(f)
+	if space.IsEmpty() || space.Width() <= 0 || space.Height() <= 0 {
+		return nil, nil, fmt.Errorf("%s and %s span no area to lay a grid over", o.left, o.right)
+	}
+	b := april.NewBuilder(space, o.order)
+	if ld, err = dataset.Precompute(names[0], names[0], polys[0], b); err != nil {
+		return nil, nil, err
+	}
+	if rd, err = dataset.Precompute(names[1], names[1], polys[1], b); err != nil {
+		return nil, nil, err
+	}
+	return ld, rd, nil
 }
 
 func run(o options) error {
 	if o.out == nil {
 		o.out = os.Stdout
 	}
+	if o.order == 0 {
+		o.order = datagen.DefaultOrder
+	}
 	m, err := methodByName(o.method)
 	if err != nil {
 		return err
 	}
-	ld, err := loadDataset(o.left)
-	if err != nil {
-		return err
-	}
-	rd, err := loadDataset(o.right)
+	ld, rd, err := loadPair(o)
 	if err != nil {
 		return err
 	}
@@ -228,11 +254,4 @@ func runPred(o options, m core.Method, ld, rd *dataset.Dataset, idPairs [][2]int
 		pred, m, holds, len(idPairs), refined, elapsed,
 		float64(len(idPairs))/elapsed.Seconds())
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

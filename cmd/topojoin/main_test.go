@@ -6,35 +6,32 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/april"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
+	"repro/internal/geom"
 	"repro/internal/harness"
 	"repro/internal/join"
 	"repro/internal/obs"
+	"repro/internal/wkt"
 )
 
+// writeDatasets writes OLE and OPE as WKT source files and returns
+// their paths.
 func writeDatasets(t *testing.T) (string, string) {
 	t.Helper()
 	dir := t.TempDir()
 	suite := datagen.NewSuite(5, 0.03)
-	b := april.NewBuilder(suite.Space, datagen.DefaultOrder)
 	paths := map[string]string{}
 	for _, name := range []string{"OLE", "OPE"} {
-		ds, err := dataset.Precompute(name, datagen.EntityTypes[name], suite.Sets[name], b)
-		if err != nil {
+		var lines []string
+		for _, p := range suite.Sets[name] {
+			lines = append(lines, wkt.MarshalPolygon(p))
+		}
+		p := filepath.Join(dir, name+".wkt")
+		if err := os.WriteFile(p, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		p := filepath.Join(dir, name+".stj")
-		f, err := os.Create(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ds.Write(f); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
 		paths[name] = p
 	}
 	return paths["OLE"], paths["OPE"]
@@ -46,6 +43,51 @@ func TestRunFindRelation(t *testing.T) {
 		if err := run(options{left: left, right: right, method: method}); err != nil {
 			t.Fatalf("method %s: %v", method, err)
 		}
+	}
+}
+
+// histogram runs a find-relation join and returns the relation
+// histogram it prints (the indented "relation count" lines).
+func histogram(t *testing.T, o options) string {
+	t.Helper()
+	var sb strings.Builder
+	o.out = &sb
+	if err := run(o); err != nil {
+		t.Fatalf("method %s: %v", o.method, err)
+	}
+	var hist []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if strings.HasPrefix(line, "  ") {
+			hist = append(hist, line)
+		}
+	}
+	return strings.Join(hist, "\n")
+}
+
+// TestRunSharedGrid joins two inputs whose MBRs differ. Both sides must
+// be built on one grid: P+C's filters compare cell ids, so lists built
+// over each input's own MBR would disagree with ST2, which reads no
+// approximations.
+func TestRunSharedGrid(t *testing.T) {
+	left, right := writeDatasets(t)
+	var mbrs [2]geom.MBR
+	for i, path := range []string{left, right} {
+		_, polys, err := dataset.ReadSource(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mbrs[i] = geom.EmptyMBR()
+		for _, p := range polys {
+			mbrs[i] = mbrs[i].Expand(p.Bounds())
+		}
+	}
+	if mbrs[0] == mbrs[1] {
+		t.Fatalf("inputs share the MBR %+v; the test needs different ones", mbrs[0])
+	}
+	st2 := histogram(t, options{left: left, right: right, method: "ST2"})
+	pc := histogram(t, options{left: left, right: right, method: "P+C"})
+	if st2 == "" || st2 != pc {
+		t.Fatalf("relation histograms differ:\nST2:\n%s\nP+C:\n%s", st2, pc)
 	}
 }
 
@@ -88,11 +130,7 @@ func TestRunMetricsSnapshot(t *testing.T) {
 
 	// Replay the identical workload through the harness: the registry's
 	// refined count and MethodStats.Undetermined must agree exactly.
-	ld, err := loadDataset(left)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd, err := loadDataset(right)
+	ld, rd, err := loadPair(options{left: left, right: right, order: datagen.DefaultOrder})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +177,10 @@ func TestRunErrors(t *testing.T) {
 	if err := run(options{left: left, right: right, pred: "sideways", method: "P+C"}); err == nil {
 		t.Error("unknown predicate should fail")
 	}
-	if err := run(options{left: "missing.stj", right: right, method: "P+C"}); err == nil {
+	if err := run(options{left: "missing.wkt", right: right, method: "P+C"}); err == nil {
 		t.Error("missing left dataset should fail")
 	}
-	if err := run(options{left: left, right: "missing.stj", method: "P+C"}); err == nil {
+	if err := run(options{left: left, right: "missing.wkt", method: "P+C"}); err == nil {
 		t.Error("missing right dataset should fail")
 	}
 }

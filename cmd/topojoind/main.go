@@ -5,7 +5,7 @@
 // graceful drain. The batch CLIs rebuild everything per run; topojoind
 // amortizes preprocessing across the life of the process.
 //
-//	topojoind -data data/                         # serve preprocessed datasets
+//	topojoind -data data/                         # serve source datasets
 //	topojoind -gen OLE,OPE -scale 0.2             # serve generated synthetic sets
 //	topojoind -addr :9090 -max-inflight 32 -timeout 5s -grace 15s
 //	topojoind -data data/ -snapshots /var/lib/topojoin  # warm restarts
@@ -59,6 +59,7 @@ import (
 	"time"
 
 	"repro/internal/datagen"
+	"repro/internal/dataset"
 	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/obs"
@@ -70,7 +71,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", "localhost:8080", "listen address")
-		data        = flag.String("data", "", "directory of datasets to serve (.stj, .wkt, .geojson)")
+		data        = flag.String("data", "", "directory of source datasets to serve ("+strings.Join(dataset.SourceExts, ", ")+")")
 		gen         = flag.String("gen", "", "comma-separated synthetic suite sets to generate and serve (e.g. OLE,OPE)")
 		seed        = flag.Int64("seed", 2026, "generator seed for -gen")
 		scale       = flag.Float64("scale", 0.2, "cardinality multiplier for -gen")

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -101,12 +102,17 @@ func TestSweepExecutor(t *testing.T) {
 				}
 
 				// Cancelled mid-sweep: each worker stops within the chunk it
-				// holds, the rest is reported skipped, nothing is lost.
+				// holds, the rest is reported skipped, nothing is lost. The
+				// count and the cancel share a lock so no item runs between
+				// the fourth and the cancel.
 				ran.Store(0)
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
+				var cancelMu sync.Mutex
 				res = Sweep(ctx, n, workers, func(*trace.Span) SweepBody {
 					return func(int) time.Duration {
+						cancelMu.Lock()
+						defer cancelMu.Unlock()
 						if ran.Add(1) == 4 {
 							cancel()
 						}

@@ -1,8 +1,7 @@
 // Package dataset bundles a named collection of polygons with their
-// precomputed MBRs and APRIL approximations, tracks the storage sizes
-// reported in Table 2, and serializes collections to a compact binary
-// format so approximations are built once (the paper's preprocessing
-// step).
+// precomputed MBRs and APRIL approximations (the paper's preprocessing
+// step), tracks the storage sizes reported in Table 2, and reads source
+// polygons from WKT and GeoJSON files.
 package dataset
 
 import (
@@ -20,9 +19,8 @@ type Dataset struct {
 	Objects []*core.Object
 	// Arena is the columnar slab backing every object's geometry: one
 	// flat coordinate array plus offset tables, built once at
-	// preprocessing or load time. Objects' polygons are views into it.
-	// Nil only for datasets assembled object-by-object outside this
-	// package (legacy heap layout); all loaders here populate it.
+	// preprocessing or load time. Objects' polygons are views into it,
+	// position for position with Objects.
 	Arena *geom.Arena
 }
 
@@ -68,10 +66,6 @@ func (d *Dataset) Merge(dead []uint64, delta []*core.Object) *Dataset {
 		return w < len(dead) && dead[w]&(1<<(uint(i)&63)) != 0
 	}
 	var b geom.ArenaBuilder
-	// The slab fast path requires the arena's polygons to be positional
-	// with the object array (true for every dataset built here); fall
-	// back to per-vertex appends otherwise.
-	slab := d.Arena != nil && d.Arena.Len() == len(d.Objects)
 	live := make([]*core.Object, 0, len(d.Objects)+len(delta))
 	for i := 0; i < len(d.Objects); {
 		if deadBit(i) {
@@ -82,13 +76,7 @@ func (d *Dataset) Merge(dead []uint64, delta []*core.Object) *Dataset {
 		for j < len(d.Objects) && !deadBit(j) {
 			j++
 		}
-		if slab {
-			b.AppendRange(d.Arena, i, j)
-		} else {
-			for k := i; k < j; k++ {
-				b.AddPolygon(d.Objects[k].Poly)
-			}
-		}
+		b.AppendRange(d.Arena, i, j)
 		live = append(live, d.Objects[i:j]...)
 		i = j
 	}

@@ -15,7 +15,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,14 +22,12 @@ import (
 	"repro/internal/april"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/geojson"
 	"repro/internal/geom"
 	"repro/internal/join"
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/snapshot"
 	"repro/internal/wal"
-	"repro/internal/wkt"
 )
 
 // Entry is one published epoch view of a registered dataset: the
@@ -190,9 +187,9 @@ func (g *Registry) count(name string, n int64) {
 // ValidateName rejects dataset names that are empty, over-long, or
 // could escape a directory when used as a file stem ("../../etc/…",
 // absolute paths, separators, control bytes). Names arrive from network
-// requests, CLI flags, and foreign .stj headers — all hostile inputs —
-// and are later joined into snapshot and quarantine paths, so the
-// gate sits in front of every registration.
+// requests, CLI flags and file names — all hostile inputs — and are
+// later joined into snapshot and quarantine paths, so the gate sits in
+// front of every registration.
 func ValidateName(name string) error {
 	if name == "" {
 		return fmt.Errorf("server: dataset name must not be empty")
@@ -266,15 +263,12 @@ func (g *Registry) build(name, entity string, polys []*geom.Polygon, ids []int) 
 		return nil, err
 	}
 	start := time.Now()
-	arena := geom.BuildArena(polys)
-	ds := &dataset.Dataset{Name: name, Entity: entity, Arena: arena,
-		Objects: make([]*core.Object, 0, len(polys))}
-	for i := range polys {
-		o, err := core.NewObject(gid(ids, i), arena.Polygon(i), g.builder)
-		if err != nil {
-			return nil, fmt.Errorf("server: dataset %s: %w", name, err)
-		}
-		ds.Objects = append(ds.Objects, o)
+	ds, err := dataset.Precompute(name, entity, polys, g.builder)
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
+	for i, o := range ds.Objects {
+		o.ID = gid(ids, i)
 	}
 	g.count("server_preprocess_objects_total", int64(len(polys)))
 	return indexEntry(&Entry{Dataset: ds, Tree: buildTree(ds), BuildTime: time.Since(start)}), nil
@@ -330,64 +324,17 @@ func (g *Registry) slot(name string) *slot {
 	return g.slots[name]
 }
 
-// AddDataset registers a preprocessed dataset. Approximations are
-// rebuilt on the registry's grid: a .stj file written under another
-// grid would otherwise silently break every filter. With snapshots
-// enabled, a valid snapshot for the same name and grid short-circuits
-// the rebuild entirely.
-func (g *Registry) AddDataset(ds *dataset.Dataset) (*Entry, error) {
-	polys := make([]*geom.Polygon, len(ds.Objects))
-	for i, o := range ds.Objects {
-		polys[i] = o.Poly
-	}
-	return g.register(ds.Name, ds.Entity, polys)
-}
-
-// LoadFile registers the dataset in path, dispatching on extension:
-// .stj (the binary dataset format), .wkt (one POLYGON per line) or
-// .geojson/.json (a FeatureCollection; multipolygon members become
-// separate objects). The dataset is named after the file basename for
-// .wkt/.geojson, or keeps its embedded name for .stj.
+// LoadFile registers the source dataset in path (see
+// dataset.ReadSource), named after the file's basename.
 func (g *Registry) LoadFile(path string) (*Entry, error) {
-	base := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	switch ext := strings.ToLower(filepath.Ext(path)); ext {
-	case ".stj":
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		ds, err := dataset.Read(f)
-		if err != nil {
-			return nil, fmt.Errorf("server: %s: %w", path, err)
-		}
-		return g.AddDataset(ds)
-	case ".wkt":
-		polys, err := readWKTFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return g.register(base, base, polys)
-	case ".geojson", ".json":
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		features, err := geojson.ParseFeatureCollection(data)
-		if err != nil {
-			return nil, fmt.Errorf("server: %s: %w", path, err)
-		}
-		var polys []*geom.Polygon
-		for _, f := range features {
-			polys = append(polys, f.Geometry.Polys...)
-		}
-		return g.register(base, base, polys)
-	default:
-		return nil, fmt.Errorf("server: %s: unsupported extension %q", path, ext)
+	name, polys, err := dataset.ReadSource(path)
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
+	return g.register(name, name, polys)
 }
 
-// LoadDir registers every loadable file in dir and returns the
+// LoadDir registers every source file in dir and returns the
 // registered names in sorted order.
 func (g *Registry) LoadDir(dir string) ([]string, error) {
 	files, err := os.ReadDir(dir)
@@ -396,12 +343,7 @@ func (g *Registry) LoadDir(dir string) ([]string, error) {
 	}
 	var names []string
 	for _, f := range files {
-		if f.IsDir() {
-			continue
-		}
-		switch strings.ToLower(filepath.Ext(f.Name())) {
-		case ".stj", ".wkt", ".geojson", ".json":
-		default:
+		if f.IsDir() || !dataset.IsSource(f.Name()) {
 			continue
 		}
 		e, err := g.LoadFile(filepath.Join(dir, f.Name()))
@@ -412,26 +354,6 @@ func (g *Registry) LoadDir(dir string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-func readWKTFile(path string) ([]*geom.Polygon, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var polys []*geom.Polygon
-	for i, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		p, err := wkt.ParsePolygon(line)
-		if err != nil {
-			return nil, fmt.Errorf("server: %s:%d: %w", path, i+1, err)
-		}
-		polys = append(polys, p)
-	}
-	return polys, nil
 }
 
 // Get returns the current epoch entry registered under name: one

@@ -3,6 +3,7 @@ package server
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -66,20 +67,8 @@ func TestRegistryLoadFormats(t *testing.T) {
 	dir := t.TempDir()
 	polys := suite.Sets["TC"]
 
-	// .stj: the binary preprocessed format.
-	reg0 := testRegistry(t, "TC")
-	e0, _ := reg0.Get("TC")
-	f, err := os.Create(filepath.Join(dir, "counties.stj"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e0.Dataset.Write(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	// .wkt: one polygon per line.
-	var lines []byte
+	// .wkt: one polygon per line; '#' lines are comments.
+	lines := []byte("# counties\n")
 	for _, p := range polys {
 		lines = append(lines, wkt.MarshalPolygon(p)...)
 		lines = append(lines, '\n')
@@ -106,8 +95,8 @@ func TestRegistryLoadFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The .stj keeps its embedded name; the others take the basename.
-	want := []string{"TC", "gjset", "wktset"}
+	// Datasets take the file's basename.
+	want := []string{"gjset", "wktset"}
 	if len(names) != len(want) {
 		t.Fatalf("LoadDir names = %v, want %v", names, want)
 	}
@@ -123,48 +112,9 @@ func TestRegistryLoadFormats(t *testing.T) {
 		}
 	}
 
-	if _, err := reg.LoadFile(filepath.Join(dir, "nope.csv")); err == nil {
-		t.Fatal("unsupported extension must fail")
-	}
-}
-
-// Loading a .stj written under a different grid must still serve sound
-// answers: approximations are rebuilt on the registry's grid.
-func TestRegistryRebuildsForeignGrid(t *testing.T) {
-	suite := testSuite()
-	polys := suite.Sets["TC"]
-
-	// Preprocess on a deliberately different (coarser, offset) grid.
-	foreign := NewRegistry(geom.MBR{MinX: -10, MinY: -10, MaxX: 2048, MaxY: 2048}, 8)
-	fe, err := foreign.Add("TC", "counties", polys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "tc.stj")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fe.Dataset.Write(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	reg := NewRegistry(suite.Space, datagen.DefaultOrder)
-	e, err := reg.LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same objects, but approximations from the registry's grid: the
-	// native registration must agree interval-for-interval.
-	native := testRegistry(t, "TC")
-	ne, _ := native.Get("TC")
-	for i, o := range e.Dataset.Objects {
-		np, nc := ne.Dataset.Objects[i].Approx.NumIntervals()
-		p, c := o.Approx.NumIntervals()
-		if p != np || c != nc {
-			t.Fatalf("object %d: approx %d/%d after reload, want %d/%d (not rebuilt?)", i, p, c, np, nc)
+	for _, file := range []string{"nope.csv", "x.stj"} {
+		if _, err := reg.LoadFile(filepath.Join(dir, file)); err == nil || !strings.Contains(err.Error(), "unsupported extension") {
+			t.Fatalf("%s: err = %v, want unsupported extension", file, err)
 		}
 	}
 }

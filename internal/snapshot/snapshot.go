@@ -139,7 +139,7 @@ type EpochMeta struct {
 // DatasetPath maps a dataset name to its snapshot path under dir,
 // rejecting names that could escape dir (path separators, "..",
 // absolute paths): dataset names reach this function from network
-// requests and foreign .stj headers, so they are hostile input.
+// requests and file names, so they are hostile input.
 func DatasetPath(dir, name string) (string, error) {
 	if err := ValidName(name); err != nil {
 		return "", err

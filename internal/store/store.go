@@ -1,8 +1,8 @@
 // Package store is the one polygon wire format: the geometry blob that
-// dataset (.stj) files, snapshots and WAL records carry, plus its two
-// decoders (onto the heap, or straight into a geom.ArenaBuilder for
-// warm starts). The data-access experiment's simulated disk store keeps
-// the same blobs (see the harness).
+// snapshots and WAL records carry, plus its two decoders (onto the heap,
+// or straight into a geom.ArenaBuilder for warm starts). The data-access
+// experiment's simulated disk store keeps the same blobs (see the
+// harness).
 package store
 
 import (
