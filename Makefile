@@ -54,10 +54,13 @@ vet:
 	$(GO) vet ./...
 
 # Regression telemetry for the instrumented pipeline (see README
-# "Observability"): the observed path and the disabled tracer must each
-# stay within 5% of plain. The ZeroAlloc guards pin the hot path —
-# interval kernels, scratch refinement, the full observed sweep — to
-# zero heap allocations per pair (see README "Performance").
+# "Observability"): BenchmarkObservedOverhead compares plain FindRelation
+# with the timed, stats-keeping core.Sweeper every sweep evaluates pairs
+# on, and BenchmarkTraceOverhead the disabled tracer with plain; each
+# must stay within 5%. The ZeroAlloc guards pin the hot path — interval
+# kernels, scratch refinement, the sweeper under every method and test
+# (find, predicate, mask), the merged epoch view — to zero heap
+# allocations per pair (see README "Performance").
 bench:
 	$(GO) test -count=1 -run 'ZeroAlloc|AllocFootprint' ./internal/interval/ ./internal/de9im/ ./internal/core/ ./internal/server/
 	$(GO) test -run xxx -bench 'BenchmarkObservedOverhead|BenchmarkTraceOverhead' -benchmem .

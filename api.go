@@ -129,31 +129,24 @@ func Implies(rel, pred Relation) bool { return core.Implies(rel, pred) }
 // CandidatePairs runs the MBR join filter step over two object sets and
 // returns index pairs (into left and right) whose MBRs intersect.
 func CandidatePairs(left, right []*Object) [][2]int32 {
-	lb := make([]MBR, len(left))
-	for i, o := range left {
-		lb[i] = o.MBR
-	}
-	rb := make([]MBR, len(right))
-	for i, o := range right {
-		rb[i] = o.MBR
-	}
-	return join.Pairs(lb, rb)
+	return join.Pairs(mbrs(left), mbrs(right))
 }
 
 // CandidatePairsContext is CandidatePairs with cooperative cancellation:
-// the partition sweep checks ctx periodically and returns ctx's error
-// (with the pairs found so far) once it is done. Long-running services
-// use it to bound join candidate generation by a request deadline.
+// the R-tree join checks ctx periodically and, once it is done, returns
+// nil pairs and ctx's error. Long-running services use it to bound join
+// candidate generation by a request deadline.
 func CandidatePairsContext(ctx context.Context, left, right []*Object) ([][2]int32, error) {
-	lb := make([]MBR, len(left))
-	for i, o := range left {
-		lb[i] = o.MBR
+	return join.PairsContext(ctx, mbrs(left), mbrs(right))
+}
+
+// mbrs lists the objects' MBRs in order, the join's input.
+func mbrs(objs []*Object) []MBR {
+	out := make([]MBR, len(objs))
+	for i, o := range objs {
+		out[i] = o.MBR
 	}
-	rb := make([]MBR, len(right))
-	for i, o := range right {
-		rb[i] = o.MBR
-	}
-	return join.PairsContext(ctx, lb, rb)
+	return out
 }
 
 // Mask is a DE-9IM pattern such as "T*F**F***" ('T' non-empty, 'F' empty,

@@ -108,8 +108,12 @@ func TestCandidatePairsContextFacade(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CandidatePairsContext(ctx, left, right); err == nil {
+	pairs, err = CandidatePairsContext(ctx, left, right)
+	if err == nil {
 		t.Fatal("cancelled context must surface an error")
+	}
+	if pairs != nil {
+		t.Fatalf("cancelled call returned pairs %v, want nil", pairs)
 	}
 }
 

@@ -33,7 +33,6 @@ import (
 	"repro/internal/hilbert"
 	"repro/internal/interval"
 	"repro/internal/join"
-	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -308,14 +307,12 @@ func BenchmarkRelatedWork(b *testing.B) {
 }
 
 // BenchmarkObservedOverhead compares the plain find-relation path
-// against FindRelationObserved on the OLE-OPE workload — the guard for
-// keeping the pipeline permanently instrumented. With a nil sink the
-// observed path short-circuits to the plain one (a single comparison),
-// so "nil_sink" must be within 5% of "plain". With a no-op sink the
-// path pays its real cost — two to four clock reads per pair — which
-// amortizes against the µs-scale average pair cost of a mixed workload
-// to well under 5%; measured runs show plain ≈ nil_sink ≈ nop_sink
-// within run-to-run noise.
+// against the Sweeper — the per-pair evaluator every sweep runs, timing
+// each pair's filter and refinement stages and tallying it into its
+// MethodStats — on the OLE-OPE workload: the guard for keeping the
+// pipeline permanently instrumented. The sweeper pays two to four clock
+// reads per pair, which amortize against the µs-scale average pair cost
+// of a mixed workload: "sweeper" must stay within 5% of "plain".
 func BenchmarkObservedOverhead(b *testing.B) {
 	pairs := benchPairs(b, harness.ComplexityCombo)
 	b.Run("plain", func(b *testing.B) {
@@ -324,24 +321,11 @@ func BenchmarkObservedOverhead(b *testing.B) {
 			core.FindRelation(core.PC, p.R, p.S)
 		}
 	})
-	b.Run("nil_sink", func(b *testing.B) {
+	b.Run("sweeper", func(b *testing.B) {
+		sw := core.NewSweeper(core.PC, core.Test{}, new(core.MethodStats), true)
 		for i := 0; i < b.N; i++ {
 			p := pairs[i%len(pairs)]
-			core.FindRelationObserved(core.PC, p.R, p.S, nil)
-		}
-	})
-	b.Run("nop_sink", func(b *testing.B) {
-		sink := core.NopSink{}
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			core.FindRelationObserved(core.PC, p.R, p.S, sink)
-		}
-	})
-	b.Run("metrics_sink", func(b *testing.B) {
-		sink := core.NewPipelineMetrics(obs.NewRegistry(), "bench")
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			core.FindRelationObserved(core.PC, p.R, p.S, sink)
+			sw.Eval(p.R, p.S)
 		}
 	})
 }

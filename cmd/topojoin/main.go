@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"repro/internal/april"
 	"repro/internal/core"
@@ -148,110 +147,68 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
+	var test core.Test // find relation unless -pred names a predicate
+	var pred de9im.Relation
+	if o.pred != "" {
+		if pred, err = parseRelation(o.pred); err != nil {
+			return err
+		}
+		test = core.PredicateTest(pred)
+	}
 	ld, rd, err := loadPair(o)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(o.out, "%s: %d objects, %s: %d objects\n", ld.Name, ld.Len(), rd.Name, rd.Len())
 
-	var idPairs [][2]int32
-	if o.reg != nil {
-		var jst join.JoinStats
-		idPairs, jst = join.PairsObserved(ld.MBRs(), rd.MBRs())
-		jst.Publish(o.reg, "join")
-	} else {
-		idPairs = join.Pairs(ld.MBRs(), rd.MBRs())
-	}
+	idPairs := join.Pairs(ld.MBRs(), rd.MBRs())
 	fmt.Fprintf(o.out, "MBR join: %d candidate pairs\n", len(idPairs))
+	pairs := make([]core.Pair, len(idPairs))
+	for i, pr := range idPairs {
+		pairs[i] = core.Pair{R: ld.Objects[pr[0]], S: rd.Objects[pr[1]]}
+	}
 
 	out := bufio.NewWriter(o.out)
 	defer out.Flush()
-
-	if o.pred == "" {
-		if err := runFind(o, m, ld, rd, idPairs, out); err != nil {
-			return err
+	// One worker: the sweep runs on this goroutine in join order, so -v
+	// lists pairs as the join produced them. Predicate pairs are timed
+	// only when -metrics publishes the time.
+	st, err := core.RunSweep(context.Background(), m, test, pairs, 1, o.reg != nil, func(i int, res core.Result, holds bool) {
+		p := pairs[i]
+		switch {
+		case !o.verbose:
+		case test.Find():
+			fmt.Fprintf(out, "%d\t%d\t%v\n", p.R.ID, p.S.ID, res.Relation)
+		case holds:
+			fmt.Fprintf(out, "%d\t%d\n", p.R.ID, p.S.ID)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	if test.Find() {
+		fmt.Fprintf(out, "method %v: %v (%.0f pairs/s), %d refined (%.1f%%)\n",
+			m, st.Elapsed, st.Throughput(), st.Undetermined, st.UndeterminedPct())
+		for r, n := range st.Relations {
+			if n > 0 {
+				fmt.Fprintf(out, "  %-11v %d\n", de9im.Relation(r), n)
+			}
 		}
 	} else {
-		if err := runPred(o, m, ld, rd, idPairs, out); err != nil {
-			return err
-		}
+		fmt.Fprintf(out, "relate_%v with %v: %d of %d pairs hold, %d refined, %v (%.0f pairs/s)\n",
+			pred, m, st.Holds, st.Pairs, st.Undetermined, st.Elapsed, st.Throughput())
 	}
 	if o.reg != nil {
+		o.reg.Counter("join_pairs_total").Add(int64(len(idPairs)))
+		st.Publish(o.reg, "pipeline")
+		if !test.Find() {
+			o.reg.Counter(obs.Name("relate_holds_total", "pred", pred.String())).Add(int64(st.Holds))
+			o.reg.Counter(obs.Name("relate_refined_total", "pred", pred.String())).Add(int64(st.Undetermined))
+		}
 		obs.RegisterRuntimeMetrics(o.reg)
 		out.Flush()
 		fmt.Fprintln(o.out, "\n== metrics snapshot ==")
 		return o.reg.Snapshot().WriteTable(o.out)
 	}
-	return nil
-}
-
-func runFind(o options, m core.Method, ld, rd *dataset.Dataset, idPairs [][2]int32, out *bufio.Writer) error {
-	var sink core.PipelineSink // stays nil without -metrics: plain path
-	var pm *core.PipelineMetrics
-	if o.reg != nil {
-		pm = core.NewPipelineMetrics(o.reg, "pipeline")
-		sink = pm
-	}
-	var hist [de9im.NumRelations]int
-	refined := 0
-	start := time.Now()
-	for _, pr := range idPairs {
-		r, s := ld.Objects[pr[0]], rd.Objects[pr[1]]
-		res := core.FindRelationObserved(m, r, s, sink)
-		hist[res.Relation]++
-		if res.Refined {
-			refined++
-		}
-		if o.verbose {
-			fmt.Fprintf(out, "%d\t%d\t%v\n", r.ID, s.ID, res.Relation)
-		}
-	}
-	elapsed := time.Since(start)
-	fmt.Fprintf(out, "method %v: %v (%.0f pairs/s), %d refined (%.1f%%)\n",
-		m, elapsed, float64(len(idPairs))/elapsed.Seconds(),
-		refined, 100*float64(refined)/float64(max(1, len(idPairs))))
-	for r := de9im.Relation(0); int(r) < de9im.NumRelations; r++ {
-		if hist[r] > 0 {
-			fmt.Fprintf(out, "  %-11v %d\n", r, hist[r])
-		}
-	}
-	return nil
-}
-
-func runPred(o options, m core.Method, ld, rd *dataset.Dataset, idPairs [][2]int32, out *bufio.Writer) error {
-	pred, err := parseRelation(o.pred)
-	if err != nil {
-		return err
-	}
-	var holdCtr, refineCtr *obs.Counter
-	if o.reg != nil {
-		holdCtr = o.reg.Counter(obs.Name("relate_holds_total", "pred", pred.String()))
-		refineCtr = o.reg.Counter(obs.Name("relate_refined_total", "pred", pred.String()))
-	}
-	holds, refined := 0, 0
-	start := time.Now()
-	for _, pr := range idPairs {
-		r, s := ld.Objects[pr[0]], rd.Objects[pr[1]]
-		res := core.RelatePred(m, r, s, pred)
-		if res.Holds {
-			holds++
-			if holdCtr != nil {
-				holdCtr.Inc()
-			}
-			if o.verbose {
-				fmt.Fprintf(out, "%d\t%d\n", r.ID, s.ID)
-			}
-		}
-		if res.Refined {
-			refined++
-			if refineCtr != nil {
-				refineCtr.Inc()
-			}
-		}
-	}
-	elapsed := time.Since(start)
-	fmt.Fprintf(out, "relate_%v with %v: %d of %d pairs hold, %d refined, %v (%.0f pairs/s)\n",
-		pred, m, holds, len(idPairs), refined, elapsed,
-		float64(len(idPairs))/elapsed.Seconds())
 	return nil
 }

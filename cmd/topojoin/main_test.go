@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -101,10 +102,11 @@ func TestRunPredicate(t *testing.T) {
 }
 
 // TestRunMetricsSnapshot covers the -metrics path end to end: the
-// snapshot must contain per-stage verdict counters that sum exactly to
-// the candidate-pair total, and the refined count must match
+// snapshot must carry the method-labelled pipeline family the server
+// and experiments publish, with per-stage verdict counters that sum
+// exactly to the candidate-pair total, and the refined count must match
 // MethodStats.Undetermined from a harness sweep of the identical
-// workload — the two accountings are now one.
+// workload — the two accountings are one.
 func TestRunMetricsSnapshot(t *testing.T) {
 	left, right := writeDatasets(t)
 	reg := obs.NewRegistry()
@@ -113,19 +115,22 @@ func TestRunMetricsSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pairsTotal := reg.Counter("pipeline_pairs_total").Value()
+	pairsTotal := reg.Counter(obs.Name("pipeline_pairs_total", "method", "P+C")).Value()
 	if pairsTotal <= 0 {
 		t.Fatal("pipeline_pairs_total not populated")
 	}
 	var verdictSum int64
 	for _, stage := range []string{"mbr", "if", "refine"} {
-		verdictSum += reg.Counter(obs.Name("pipeline_verdict_total", "stage", stage)).Value()
+		verdictSum += reg.Counter(obs.Name("pipeline_verdict_total", "method", "P+C", "stage", stage)).Value()
 	}
 	if verdictSum != pairsTotal {
 		t.Errorf("verdict counters sum to %d, want pair total %d", verdictSum, pairsTotal)
 	}
 	if got := reg.Counter("join_pairs_total").Value(); got != pairsTotal {
 		t.Errorf("join produced %d pairs but pipeline saw %d", got, pairsTotal)
+	}
+	if reg.Counter(obs.Name("pipeline_filter_ns_total", "method", "P+C")).Value() <= 0 {
+		t.Error("pipeline_filter_ns_total not populated")
 	}
 
 	// Replay the identical workload through the harness: the registry's
@@ -140,12 +145,12 @@ func TestRunMetricsSnapshot(t *testing.T) {
 		hp[i] = core.Pair{R: ld.Objects[pr[0]], S: rd.Objects[pr[1]]}
 	}
 	st := harness.RunFindRelation(core.PC, hp)
-	if got := reg.Counter(obs.Name("pipeline_verdict_total", "stage", "refine")).Value(); got != int64(st.Undetermined) {
+	if got := reg.Counter(obs.Name("pipeline_verdict_total", "method", "P+C", "stage", "refine")).Value(); got != int64(st.Undetermined) {
 		t.Errorf("registry refined count %d != MethodStats.Undetermined %d", got, st.Undetermined)
 	}
 
 	out := sb.String()
-	for _, want := range []string{"== metrics snapshot ==", "pipeline_pairs_total", "pipeline_verdict_total", "join_pairs_total", "go_goroutines"} {
+	for _, want := range []string{"== metrics snapshot ==", "pipeline_pairs_total", "pipeline_verdict_total", "pipeline_refine_ns_total", "join_pairs_total", "go_goroutines"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("snapshot dump missing %q", want)
 		}
@@ -153,7 +158,7 @@ func TestRunMetricsSnapshot(t *testing.T) {
 }
 
 // TestRunPredicateMetrics: the relate_p path publishes hold/refine
-// counters under the predicate label.
+// counters under the predicate label, equal to the sweep's own counts.
 func TestRunPredicateMetrics(t *testing.T) {
 	left, right := writeDatasets(t)
 	reg := obs.NewRegistry()
@@ -161,8 +166,13 @@ func TestRunPredicateMetrics(t *testing.T) {
 	if err := run(options{left: left, right: right, pred: "intersects", method: "P+C", reg: reg, out: &sb}); err != nil {
 		t.Fatal(err)
 	}
-	if reg.Counter(obs.Name("relate_holds_total", "pred", "intersects")).Value() <= 0 {
+	holds := reg.Counter(obs.Name("relate_holds_total", "pred", "intersects")).Value()
+	if holds <= 0 {
 		t.Error("relate_holds_total not populated")
+	}
+	if !strings.Contains(sb.String(), fmt.Sprintf(": %d of %d pairs hold, %d refined,", holds,
+		reg.Counter("join_pairs_total").Value(), reg.Counter(obs.Name("relate_refined_total", "pred", "intersects")).Value())) {
+		t.Errorf("relate counters disagree with the summary line:\n%s", sb.String())
 	}
 	if reg.Counter("join_pairs_total").Value() <= 0 {
 		t.Error("join counters not populated on the predicate path")

@@ -21,25 +21,26 @@ func (p Pair) Complexity() int {
 	return p.R.Poly.NumVertices() + p.S.Poly.NumVertices()
 }
 
-// MethodStats aggregates one find-relation sweep of a method over a pair
-// workload. It is built on the observed pipeline path: each pair's
-// filter and refinement stages are timed separately at the source, so
-// FilterTime no longer mis-attributes the filter work of refined pairs
-// to RefineTime (the accounting Fig. 8b depends on).
+// MethodStats aggregates one sweep of a method over a pair workload,
+// tallied pair by pair by the Sweeper: each timed pair's filter and
+// refinement stages are timed separately at the source, so FilterTime
+// does not mis-attribute the filter work of refined pairs to RefineTime
+// (the accounting Fig. 8b depends on).
 type MethodStats struct {
 	Method       Method
 	Pairs        int
 	MBRSettled   int // pairs settled by the MBR filter alone
 	IFSettled    int // pairs settled by the intermediate filter
 	Undetermined int // pairs that needed DE-9IM refinement (Fig. 7b)
+	Holds        int // predicate/mask sweeps: pairs the test held for
 	Elapsed      time.Duration
 	// FilterTime and RefineTime are sums of per-pair stage durations; in
 	// the parallel sweep they aggregate CPU time across workers and so
 	// exceed Elapsed. Elapsed additionally covers loop overhead, so
 	// FilterTime+RefineTime <= Elapsed per worker.
-	FilterTime time.Duration // MBR + intermediate filter time
-	RefineTime time.Duration // DE-9IM time
-	Relations  [de9im.NumRelations]int
+	FilterTime time.Duration           // MBR + intermediate filter time
+	RefineTime time.Duration           // DE-9IM time
+	Relations  [de9im.NumRelations]int // find sweeps only
 	// SlowPair is the index (into the sweep's pair slice) of the pair
 	// with the largest filter+refine time, the seed of the slow-query
 	// forensics; only meaningful when SlowPairTime > 0.
@@ -80,32 +81,19 @@ func (s MethodStats) Publish(reg *obs.Registry, prefix string) {
 	}
 }
 
-// statsSink accumulates observed pipeline events into a MethodStats.
-// It is not safe for concurrent use: the sweep gives each worker its own
-// and merges afterwards. The last* fields replay the most recent event
-// to the sweep body — which, unlike the sink, knows the pair index — so
-// slow-pair tracking and retroactive trace spans reuse the pipeline's
-// own stage timings instead of reading the clock again.
-type statsSink struct {
-	st          *MethodStats
-	lastVerdict Verdict
-	lastFilter  time.Duration
-	lastRefine  time.Duration
-}
-
-func (k *statsSink) ObservePair(_ Method, res Result, v Verdict, filter, refine time.Duration) {
-	switch v {
-	case VerdictMBR:
-		k.st.MBRSettled++
-	case VerdictIF:
-		k.st.IFSettled++
-	default:
-		k.st.Undetermined++
+// merge adds a worker's tallies into s; Elapsed and the slow pair are
+// the sweep's, not the workers'.
+func (s *MethodStats) merge(o *MethodStats) {
+	s.Pairs += o.Pairs
+	s.MBRSettled += o.MBRSettled
+	s.IFSettled += o.IFSettled
+	s.Undetermined += o.Undetermined
+	s.Holds += o.Holds
+	s.FilterTime += o.FilterTime
+	s.RefineTime += o.RefineTime
+	for i, n := range o.Relations {
+		s.Relations[i] += n
 	}
-	k.st.Relations[res.Relation]++
-	k.st.FilterTime += filter
-	k.st.RefineTime += refine
-	k.lastVerdict, k.lastFilter, k.lastRefine = v, filter, refine
 }
 
 // PanickedPair is one pair whose evaluation panicked during a sweep.
@@ -132,37 +120,45 @@ func (e *PanicError) Error() string {
 		len(e.Pairs), e.Pairs[0].Index, e.Pairs[0].Value)
 }
 
-// RunFindRelation sweeps method m over the pairs through the observed
-// pipeline on the Sweep executor (which see for workers, cancellation
-// and the panic barrier), timing the filter and refinement stages
-// separately at the pair level (Fig. 8b reports them split). One worker
-// is the serial sweep; each worker runs on its own Sweeper, so the
-// steady state allocates nothing per pair, and keeps a private
-// MethodStats merged after the pool drains — FilterTime and RefineTime
-// are therefore aggregate CPU time across workers, not wall clock.
-// visit, when non-nil, is called concurrently from the workers with the
-// pair index and its result.
+// RunSweep evaluates test over the pairs with pipeline m on the sweep
+// executor (which see for workers, cancellation and the panic barrier);
+// one worker is the serial sweep. Each worker evaluates on its own
+// Sweeper, so the steady state allocates nothing per pair, and tallies
+// into a private MethodStats merged after the pool drains — FilterTime
+// and RefineTime are therefore aggregate CPU time across workers, not
+// wall clock.
 //
-// A non-nil error is either a *PanicError or ctx's error; either way
-// the stats cover only the pairs actually evaluated (Pairs is reduced
-// accordingly).
-func RunFindRelation(ctx context.Context, m Method, pairs []Pair, workers int, visit func(i int, res Result)) (MethodStats, error) {
-	st := MethodStats{Method: m}
+// A find sweep times every pair: its stage split is Fig. 8b's
+// accounting. A predicate or mask pair is timed only when a reader of
+// the time exists: timePairs (the caller keeps a slow-query log) or a
+// recording trace span in ctx. Timed pairs give the stats their slowest
+// pair and, under a recording span, one "pair" span each.
+//
+// visit, when non-nil, is called from the workers with the index and
+// answer of each evaluated pair (see Sweeper.Eval); concurrently with
+// several workers, serially in index order with one. A non-nil error is
+// either a *PanicError or ctx's error; either way the stats cover only
+// the pairs actually evaluated.
+func RunSweep(ctx context.Context, m Method, test Test, pairs []Pair, workers int, timePairs bool,
+	visit func(i int, res Result, holds bool)) (MethodStats, error) {
+	timed := test.Find() || timePairs || trace.FromContext(ctx).Recording()
 	var partials []*MethodStats
 	var perr *PanicError
 	start := time.Now()
-	res := Sweep(ctx, len(pairs), workers, func(wsp *trace.Span) SweepBody {
-		sink := &statsSink{st: new(MethodStats)}
-		partials = append(partials, sink.st)
-		sweep := NewSweeper(m, sink)
+	res := sweep(ctx, len(pairs), workers, func(wsp *trace.Span) sweepBody {
+		sw := NewSweeper(m, test, new(MethodStats), timed)
+		partials = append(partials, sw.st)
 		return func(i int) time.Duration {
 			p := pairs[i]
-			r := sweep.FindRelation(p.R, p.S)
+			r, holds := sw.Eval(p.R, p.S)
 			if visit != nil {
-				visit(i, r)
+				visit(i, r, holds)
 			}
-			d := sink.lastFilter + sink.lastRefine
-			recordPairSpan(wsp, i, p, sink, d)
+			if !timed {
+				return 0
+			}
+			d := sw.filterTime + sw.refineTime
+			recordPairSpan(wsp, i, p, sw, d)
 			return d
 		}
 	}, func(i int, v any, stack string) {
@@ -171,18 +167,9 @@ func RunFindRelation(ctx context.Context, m Method, pairs []Pair, workers int, v
 		}
 		perr.Pairs = append(perr.Pairs, PanickedPair{Index: i, Value: v})
 	})
-	st.Elapsed = time.Since(start)
-	st.Pairs = len(pairs) - res.Skipped - res.Panicked // no verdict: keep Pairs honest
-	st.SlowPair, st.SlowPairTime = res.SlowIndex, res.SlowTime
-	for _, p := range partials { // Elapsed is not merged: wall clock is the caller's
-		st.MBRSettled += p.MBRSettled
-		st.IFSettled += p.IFSettled
-		st.Undetermined += p.Undetermined
-		st.FilterTime += p.FilterTime
-		st.RefineTime += p.RefineTime
-		for i, n := range p.Relations {
-			st.Relations[i] += n
-		}
+	st := MethodStats{Method: m, Elapsed: time.Since(start), SlowPair: res.SlowIndex, SlowPairTime: res.SlowTime}
+	for _, p := range partials {
+		st.merge(p)
 	}
 	if perr != nil {
 		return st, perr
@@ -190,12 +177,22 @@ func RunFindRelation(ctx context.Context, m Method, pairs []Pair, workers int, v
 	return st, ctx.Err()
 }
 
+// RunFindRelation is RunSweep's find-relation form: it sweeps method m
+// over the pairs, timing every pair's filter and refinement stages.
+func RunFindRelation(ctx context.Context, m Method, pairs []Pair, workers int, visit func(i int, res Result)) (MethodStats, error) {
+	var v func(int, Result, bool)
+	if visit != nil {
+		v = func(i int, res Result, _ bool) { visit(i, res) }
+	}
+	return RunSweep(ctx, m, Test{}, pairs, workers, true, v)
+}
+
 // recordPairSpan retroactively attaches one pair span (with its
 // filter/refine stage children) under the worker span, reusing the
-// durations the pipeline sink already measured — no extra clock reads
-// on the unsampled path, one on the sampled path. No-op when wsp is nil
-// or the trace's span budget is spent.
-func recordPairSpan(wsp *trace.Span, idx int, p Pair, sink *statsSink, total time.Duration) {
+// durations the sweeper already measured — no extra clock reads on the
+// unsampled path, one on the sampled path. It is the only writer of
+// pair spans. No-op when wsp is nil or the trace's span budget is spent.
+func recordPairSpan(wsp *trace.Span, idx int, p Pair, sw *Sweeper, total time.Duration) {
 	if !wsp.Recording() {
 		return
 	}
@@ -207,10 +204,10 @@ func recordPairSpan(wsp *trace.Span, idx int, p Pair, sink *statsSink, total tim
 	ps.SetInt("index", int64(idx))
 	ps.SetInt("r_id", int64(p.R.ID))
 	ps.SetInt("s_id", int64(p.S.ID))
-	ps.SetStr("verdict", sink.lastVerdict.String())
+	ps.SetStr("verdict", sw.verdict.String())
 	// Stage spans: filter ran first, refinement (when any) last.
-	ps.ChildAt("filter", end.Add(-total), sink.lastFilter)
-	if sink.lastRefine > 0 {
-		ps.ChildAt("refine", end.Add(-sink.lastRefine), sink.lastRefine)
+	ps.ChildAt("filter", end.Add(-total), sw.filterTime)
+	if sw.refineTime > 0 {
+		ps.ChildAt("refine", end.Add(-sw.refineTime), sw.refineTime)
 	}
 }

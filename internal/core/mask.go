@@ -12,13 +12,19 @@ import (
 // computed, short-cutting only the MBR-disjoint case (whose matrix is
 // known without geometry).
 func RelateMask(m Method, r, s *Object, mask de9im.Mask) RelateResult {
+	return RelateMaskWith(m, r, s, mask, Refine)
+}
+
+// RelateMaskWith is RelateMask with a custom refinement step, as
+// FindRelationWith is to FindRelation.
+func RelateMaskWith(m Method, r, s *Object, mask de9im.Mask, refine Refiner) RelateResult {
 	if rel, ok := maskRelation(mask); ok {
-		return RelatePred(m, r, s, rel)
+		return RelatePredWith(m, r, s, rel, refine)
 	}
 	if mbrrel.Classify(r.MBR, s.MBR) == mbrrel.DisjointMBRs {
-		return RelateResult{Holds: mask.Matches(disjointMatrix(r, s))}
+		return RelateResult{Holds: mask.Matches(disjointMatrix(r, s)), Verdict: VerdictMBR}
 	}
-	return RelateResult{Holds: mask.Matches(Refine(r, s)), Refined: true}
+	return RelateResult{Holds: mask.Matches(refine(r, s)), Refined: true, Verdict: VerdictRefine}
 }
 
 // maskRelation reverse-maps a mask to the relation whose Table 1 mask set

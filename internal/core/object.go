@@ -66,20 +66,10 @@ var refineScratch = sync.Pool{New: func() any { return new(de9im.Scratch) }}
 // Refine computes the DE-9IM matrix of the pair's exact geometries: the
 // refinement step of every pipeline. It reuses the objects' cached
 // Prepared structures and a pooled scratch; loop-heavy callers that want
-// a private scratch use NewScratchRefiner or a Sweeper instead.
+// a private scratch use a Sweeper instead.
 func Refine(r, s *Object) de9im.Matrix {
 	sc := refineScratch.Get().(*de9im.Scratch)
 	m := de9im.RelateScratch(r.Prepared(), s.Prepared(), sc)
 	refineScratch.Put(sc)
 	return m
-}
-
-// NewScratchRefiner returns a Refiner bound to its own private noding
-// scratch: zero allocations per call in steady state, but not safe for
-// concurrent use — give each worker its own.
-func NewScratchRefiner() Refiner {
-	sc := new(de9im.Scratch)
-	return func(r, s *Object) de9im.Matrix {
-		return de9im.RelateScratch(r.Prepared(), s.Prepared(), sc)
-	}
 }

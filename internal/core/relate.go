@@ -87,6 +87,10 @@ func relateFilter(pred de9im.Relation, r, s *Object) TriState {
 type RelateResult struct {
 	Holds   bool
 	Refined bool
+	// Verdict is the stage that settled the pair: the relate_p
+	// counterpart of the find-relation verdict (VerdictRefine exactly
+	// when Refined).
+	Verdict Verdict
 }
 
 // RelatePred answers the relate_p problem (Sec. 3.3): does relation pred
@@ -95,27 +99,33 @@ type RelateResult struct {
 // interval filter, refining only on Unknown. The other methods answer via
 // their find-relation pipeline.
 func RelatePred(m Method, r, s *Object, pred de9im.Relation) RelateResult {
+	return RelatePredWith(m, r, s, pred, Refine)
+}
+
+// RelatePredWith is RelatePred with a custom refinement step, as
+// FindRelationWith is to FindRelation.
+func RelatePredWith(m Method, r, s *Object, pred de9im.Relation, refine Refiner) RelateResult {
 	c := mbrrel.Classify(r.MBR, s.MBR)
 	if c == mbrrel.DisjointMBRs {
-		return RelateResult{Holds: pred == de9im.Disjoint}
+		return RelateResult{Holds: pred == de9im.Disjoint, Verdict: VerdictMBR}
 	}
 	if m != PC {
-		res := FindRelation(m, r, s)
-		return RelateResult{Holds: Implies(res.Relation, pred), Refined: res.Refined}
+		res := FindRelationWith(m, r, s, refine)
+		return RelateResult{Holds: Implies(res.Relation, pred), Refined: res.Refined, Verdict: verdictOf(res)}
 	}
 	if !mbrrel.Possible(c, pred) {
-		return RelateResult{Holds: false}
+		return RelateResult{Holds: false, Verdict: VerdictMBR}
 	}
 	if rel, ok := mbrrel.Definite(c); ok {
-		return RelateResult{Holds: Implies(rel, pred)}
+		return RelateResult{Holds: Implies(rel, pred), Verdict: VerdictMBR}
 	}
 	switch relateFilter(pred, r, s) {
 	case Yes:
-		return RelateResult{Holds: true}
+		return RelateResult{Holds: true, Verdict: VerdictIF}
 	case No:
-		return RelateResult{Holds: false}
+		return RelateResult{Holds: false, Verdict: VerdictIF}
 	default:
-		return RelateResult{Holds: de9im.Holds(pred, Refine(r, s)), Refined: true}
+		return RelateResult{Holds: de9im.Holds(pred, refine(r, s)), Refined: true, Verdict: VerdictRefine}
 	}
 }
 

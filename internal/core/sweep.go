@@ -12,56 +12,120 @@ import (
 	"repro/internal/trace"
 )
 
-// Sweeper runs the observed find-relation path over many pairs with zero
-// steady-state allocations. FindRelationObserved builds a fresh
-// timing closure per pair; over a million-pair sweep those closures (and
-// the pooled-scratch round trips inside the default Refine) are pure
-// overhead. A Sweeper binds the timed refiner, the noding scratch, and
-// the per-pair accounting once, so the sweep loop's only work is the
-// pipeline itself.
-//
-// A Sweeper is not safe for concurrent use: parallel sweeps give each
-// worker its own (they are cheap — one scratch and two closures).
-type Sweeper struct {
-	method     Method
-	sink       PipelineSink
-	sc         de9im.Scratch
-	refineTime time.Duration
-	timed      Refiner // bound once to timedRefine
+// Test is what a sweep asks of each pair. The zero Test is the
+// find-relation problem (Algorithm 1: the pair's most specific
+// relation); PredicateTest and MaskTest ask whether a relate_p predicate
+// holds (Sec. 3.3) or an arbitrary DE-9IM mask matches.
+type Test struct {
+	mode testMode
+	pred de9im.Relation
+	mask de9im.Mask
 }
 
-// NewSweeper returns a sweeper for pipeline m reporting per-pair events
-// to sink (nil sink skips observation, matching FindRelationObserved).
-func NewSweeper(m Method, sink PipelineSink) *Sweeper {
-	sw := &Sweeper{method: m, sink: sink}
-	sw.timed = sw.timedRefine
+type testMode uint8
+
+const (
+	findMode testMode = iota
+	predMode
+	maskMode
+)
+
+// PredicateTest asks whether relation pred holds for each pair.
+func PredicateTest(pred de9im.Relation) Test { return Test{mode: predMode, pred: pred} }
+
+// MaskTest asks whether each pair's DE-9IM matrix matches mask.
+func MaskTest(mask de9im.Mask) Test { return Test{mode: maskMode, mask: mask} }
+
+// Find reports whether t is the find-relation test.
+func (t Test) Find() bool { return t.mode == findMode }
+
+// Sweeper is the one per-pair evaluator: every pair of every sweep —
+// find-relation, predicate or mask — is answered by Sweeper.Eval. It
+// refines on its own noding scratch and the objects' cached Prepared
+// structures (zero steady-state allocations per pair), tallies each
+// pair into its MethodStats, and, when timed, splits the pair's filter
+// time from its refinement time at the source (Fig. 8b).
+//
+// A Sweeper is not safe for concurrent use: parallel sweeps give each
+// worker its own (they are cheap — one scratch and one bound refiner).
+type Sweeper struct {
+	method Method
+	test   Test
+	st     *MethodStats
+	timed  bool
+	sc     de9im.Scratch
+	refine Refiner // bound once to refineScratch
+	// The last pair's settling stage and stage times (zero times when
+	// untimed), for its trace span and the sweep's slow-pair tracking.
+	verdict    Verdict
+	filterTime time.Duration
+	refineTime time.Duration
+}
+
+// NewSweeper returns an evaluator of test under pipeline m that tallies
+// every pair into st; timed pairs also add their stage times to st.
+func NewSweeper(m Method, test Test, st *MethodStats, timed bool) *Sweeper {
+	sw := &Sweeper{method: m, test: test, st: st, timed: timed}
+	sw.refine = sw.refineScratch
 	return sw
 }
 
-// timedRefine is the sweeper's refinement step: the objects' cached
-// Prepared structures plus the sweeper's own scratch, with the stage
-// time accumulated for the sink.
-func (sw *Sweeper) timedRefine(r, s *Object) de9im.Matrix {
+// refineScratch is the sweeper's refinement step: the objects' cached
+// Prepared structures plus the sweeper's own scratch, timed when the
+// sweeper is.
+func (sw *Sweeper) refineScratch(r, s *Object) de9im.Matrix {
+	if !sw.timed {
+		return de9im.RelateScratch(r.Prepared(), s.Prepared(), &sw.sc)
+	}
 	t0 := time.Now()
 	m := de9im.RelateScratch(r.Prepared(), s.Prepared(), &sw.sc)
 	sw.refineTime += time.Since(t0)
 	return m
 }
 
-// FindRelation evaluates one pair through the sweeper's pipeline,
-// delivering the same event FindRelationObserved would: the settled
-// result, the verdict stage, and filter/refine durations with filter =
-// total − refine.
-func (sw *Sweeper) FindRelation(r, s *Object) Result {
-	if sw.sink == nil {
-		return FindRelationWith(sw.method, r, s, sw.timed)
+// Eval answers the sweeper's test for the pair (r, s) and tallies it.
+// In find mode res is the pair's find-relation result and holds is
+// false; in predicate and mask mode holds is the answer and res is
+// zero. A timed pair's filter time is its total minus its
+// refinement time, however many filters ran before the verdict.
+func (sw *Sweeper) Eval(r, s *Object) (res Result, holds bool) {
+	var start time.Time
+	if sw.timed {
+		start = time.Now()
+		sw.refineTime = 0
 	}
-	start := time.Now()
-	sw.refineTime = 0
-	res := FindRelationWith(sw.method, r, s, sw.timed)
-	total := time.Since(start)
-	sw.sink.ObservePair(sw.method, res, verdictOf(res), total-sw.refineTime, sw.refineTime)
-	return res
+	switch sw.test.mode {
+	case findMode:
+		res = FindRelationWith(sw.method, r, s, sw.refine)
+		sw.verdict = verdictOf(res)
+	case predMode:
+		rr := RelatePredWith(sw.method, r, s, sw.test.pred, sw.refine)
+		holds, sw.verdict = rr.Holds, rr.Verdict
+	default:
+		rr := RelateMaskWith(sw.method, r, s, sw.test.mask, sw.refine)
+		holds, sw.verdict = rr.Holds, rr.Verdict
+	}
+	st := sw.st
+	if sw.timed {
+		sw.filterTime = time.Since(start) - sw.refineTime
+		st.FilterTime += sw.filterTime
+		st.RefineTime += sw.refineTime
+	}
+	st.Pairs++
+	switch sw.verdict {
+	case VerdictMBR:
+		st.MBRSettled++
+	case VerdictIF:
+		st.IFSettled++
+	default:
+		st.Undetermined++
+	}
+	if sw.test.mode == findMode {
+		st.Relations[res.Relation]++
+	} else if holds {
+		st.Holds++
+	}
+	return res, holds
 }
 
 // sweepChunk is how many consecutive items a worker claims at a time:
@@ -69,12 +133,12 @@ func (sw *Sweeper) FindRelation(r, s *Object) Result {
 // straggler (a high-complexity refinement) does not imbalance the pool.
 const sweepChunk = 16
 
-// SweepBody evaluates item i and returns how long it took (0 when the
+// sweepBody evaluates item i and returns how long it took (0 when the
 // caller does not time items); the executor keeps the slowest.
-type SweepBody func(i int) time.Duration
+type sweepBody func(i int) time.Duration
 
-// SweepResult is what one Sweep did besides running the bodies.
-type SweepResult struct {
+// sweepResult is what one sweep did besides running the bodies.
+type sweepResult struct {
 	Skipped  int // items never run because ctx was cancelled
 	Panicked int // items whose body panicked
 	// SlowIndex is the item with the largest duration a body returned
@@ -83,7 +147,7 @@ type SweepResult struct {
 	SlowTime  time.Duration
 }
 
-// Sweep runs items 0..n-1 on a chunk-claiming worker pool, the parallel
+// sweep runs items 0..n-1 on a chunk-claiming worker pool, the parallel
 // in-memory join evaluation the paper builds on (Tsitsigkos et al.,
 // SIGSPATIAL 2019). It is the one pool every sweep in the repository
 // runs on — and so the one place a sweep is cancelled and the one place
@@ -93,7 +157,7 @@ type SweepResult struct {
 // chunks, ceil(n/sweepChunk), since a worker that claims no chunk can do
 // no work (a two-candidate relate probe runs on one worker). newBody is
 // called once per worker, serially on the calling goroutine, so it may
-// collect per-worker state (a Sweeper, stat partials, tallies) without
+// collect per-worker state (a Sweeper and its stats) without
 // locking; the body it returns runs on that worker only. Worker 0 is the
 // calling goroutine: a one-worker sweep spawns nothing. Each worker gets
 // a "sweep.worker" child span of ctx's trace span (nil when unsampled).
@@ -103,13 +167,13 @@ type SweepResult struct {
 // runs behind a recover barrier: a panicking item is abandoned and
 // reported to onPanic (serially, under the executor's lock) with its
 // index, panic value and stack, and every other item still runs.
-func Sweep(ctx context.Context, n, workers int, newBody func(span *trace.Span) SweepBody,
-	onPanic func(i int, value any, stack string)) SweepResult {
+func sweep(ctx context.Context, n, workers int, newBody func(span *trace.Span) sweepBody,
+	onPanic func(i int, value any, stack string)) sweepResult {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = max(min(workers, (n+sweepChunk-1)/sweepChunk), 1)
-	s := sweepState{ctx: ctx, n: n, onPanic: onPanic, res: SweepResult{SlowIndex: -1}}
+	s := sweepState{ctx: ctx, n: n, onPanic: onPanic, res: sweepResult{SlowIndex: -1}}
 	parent := trace.FromContext(ctx)
 	var wg sync.WaitGroup
 	for w := workers - 1; w >= 0; w-- {
@@ -137,11 +201,11 @@ type sweepState struct {
 	onPanic func(i int, value any, stack string)
 
 	mu  sync.Mutex // guards res and serialises onPanic
-	res SweepResult
+	res sweepResult
 }
 
 // work is one worker's claim loop.
-func (s *sweepState) work(body SweepBody, span *trace.Span) {
+func (s *sweepState) work(body sweepBody, span *trace.Span) {
 	swept, skipped := 0, 0
 	slowIdx, slowDur := -1, time.Duration(0)
 	for {
@@ -175,7 +239,7 @@ func (s *sweepState) work(body SweepBody, span *trace.Span) {
 // degenerate geometry, a bug in a pipeline stage, a fault injected by a
 // test — is reported instead of unwinding through the worker and
 // killing the process.
-func (s *sweepState) guarded(body SweepBody, i int) (d time.Duration) {
+func (s *sweepState) guarded(body sweepBody, i int) (d time.Duration) {
 	defer func() {
 		if v := recover(); v != nil {
 			stack := string(debug.Stack())

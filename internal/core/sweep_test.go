@@ -41,7 +41,7 @@ func TestSweepExecutor(t *testing.T) {
 				visited := make([]int32, n)
 				var ran atomic.Int64
 				built := 0
-				res := Sweep(context.Background(), n, workers, func(*trace.Span) SweepBody {
+				res := sweep(context.Background(), n, workers, func(*trace.Span) sweepBody {
 					if built++; goid() != caller {
 						t.Errorf("body %d built off the calling goroutine", built)
 					}
@@ -79,7 +79,7 @@ func TestSweepExecutor(t *testing.T) {
 				// other index still runs.
 				ran.Store(0)
 				bad, reports := n/3, 0
-				res = Sweep(context.Background(), n, workers, func(*trace.Span) SweepBody {
+				res = sweep(context.Background(), n, workers, func(*trace.Span) sweepBody {
 					return func(i int) time.Duration {
 						if i == bad {
 							panic("boom")
@@ -109,7 +109,7 @@ func TestSweepExecutor(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				var cancelMu sync.Mutex
-				res = Sweep(ctx, n, workers, func(*trace.Span) SweepBody {
+				res = sweep(ctx, n, workers, func(*trace.Span) sweepBody {
 					return func(int) time.Duration {
 						cancelMu.Lock()
 						defer cancelMu.Unlock()
@@ -129,7 +129,7 @@ func TestSweepExecutor(t *testing.T) {
 
 				// Cancelled before it starts: nothing runs.
 				cancel()
-				res = Sweep(ctx, n, workers, func(*trace.Span) SweepBody {
+				res = sweep(ctx, n, workers, func(*trace.Span) sweepBody {
 					return func(i int) time.Duration {
 						t.Errorf("item %d ran under a cancelled context", i)
 						return 0

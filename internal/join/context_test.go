@@ -22,18 +22,25 @@ func randomEntries(n int, seed int64) []Entry {
 	return es
 }
 
+// TestJoinContextMatchesJoin: the tree join and its slice form Pairs
+// must both equal the brute-force join.
 func TestJoinContextMatchesJoin(t *testing.T) {
 	as, bs := randomEntries(600, 1), randomEntries(700, 2)
-	ta, tb := BuildRTree(as), BuildRTree(bs)
+	want := bruteJoin(as, bs)
+	checkJoin(t, collect(t, as, bs), want)
 
-	var plain, ctxed int
-	ta.Join(tb, func(a, b Entry) { plain++ })
-	if err := ta.JoinContext(context.Background(), tb, func(a, b Entry) { ctxed++ }); err != nil {
-		t.Fatal(err)
+	boxes := func(es []Entry) []geom.MBR {
+		out := make([]geom.MBR, len(es))
+		for i, e := range es {
+			out[i] = e.Box
+		}
+		return out
 	}
-	if plain != ctxed {
-		t.Fatalf("JoinContext reported %d pairs, Join %d", ctxed, plain)
+	got := make(map[[2]int32]int)
+	for _, p := range Pairs(boxes(as), boxes(bs)) {
+		got[p]++
 	}
+	checkJoin(t, got, want)
 }
 
 func TestJoinContextCancelled(t *testing.T) {
@@ -60,8 +67,7 @@ func TestJoinContextCancelMidway(t *testing.T) {
 	as, bs := randomEntries(2000, 5), randomEntries(2000, 6)
 	ta, tb := BuildRTree(as), BuildRTree(bs)
 
-	total := 0
-	ta.Join(tb, func(a, b Entry) { total++ })
+	total := len(collect(t, as, bs))
 	if total < 100 {
 		t.Fatalf("workload too small: %d pairs", total)
 	}
@@ -82,16 +88,27 @@ func TestJoinContextCancelMidway(t *testing.T) {
 	}
 }
 
+// TestQueryContextMatchesQuery: a window query must report exactly the
+// entries a brute-force scan finds, each once.
 func TestQueryContextMatchesQuery(t *testing.T) {
 	as := randomEntries(500, 7)
-	ta := BuildRTree(as)
 	q := geom.MBR{MinX: 100, MinY: 100, MaxX: 400, MaxY: 400}
-	var plain, ctxed int
-	ta.Query(q, func(Entry) { plain++ })
-	if err := ta.QueryContext(context.Background(), q, func(Entry) { ctxed++ }); err != nil {
+	want := 0
+	for _, e := range as {
+		if e.Box.Intersects(q) {
+			want++
+		}
+	}
+	got := make(map[int32]int)
+	if err := BuildRTree(as).QueryContext(context.Background(), q, func(e Entry) { got[e.ID]++ }); err != nil {
 		t.Fatal(err)
 	}
-	if plain == 0 || plain != ctxed {
-		t.Fatalf("QueryContext found %d, Query %d", ctxed, plain)
+	if want == 0 || len(got) != want {
+		t.Fatalf("QueryContext found %d entries, brute force %d", len(got), want)
+	}
+	for id, n := range got {
+		if n != 1 || !as[id].Box.Intersects(q) {
+			t.Fatalf("entry %d reported %d times (intersects: %t)", id, n, as[id].Box.Intersects(q))
+		}
 	}
 }

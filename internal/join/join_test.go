@@ -1,6 +1,7 @@
 package join
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -32,9 +33,16 @@ func bruteJoin(as, bs []Entry) map[[2]int32]bool {
 	return out
 }
 
-func collect(fn func(func(a, b Entry))) map[[2]int32]int {
+// collect runs the tree join of as and bs and counts every reported
+// pair.
+func collect(t *testing.T, as, bs []Entry) map[[2]int32]int {
+	t.Helper()
 	out := make(map[[2]int32]int)
-	fn(func(a, b Entry) { out[[2]int32{a.ID, b.ID}]++ })
+	if err := BuildRTree(as).JoinContext(context.Background(), BuildRTree(bs), func(a, b Entry) {
+		out[[2]int32{a.ID, b.ID}]++
+	}); err != nil {
+		t.Fatal(err)
+	}
 	return out
 }
 
@@ -54,7 +62,9 @@ func TestRTreeQueryMatchesBrute(t *testing.T) {
 			}
 		}
 		got := make(map[int32]bool)
-		tree.Query(q, func(e Entry) { got[e.ID] = true })
+		if err := tree.QueryContext(context.Background(), q, func(e Entry) { got[e.ID] = true }); err != nil {
+			t.Fatal(err)
+		}
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: got %d, want %d", trial, len(got), len(want))
 		}
@@ -72,7 +82,7 @@ func TestRTreeJoinMatchesBrute(t *testing.T) {
 		as := randBoxes(rng, 100+rng.Intn(400), 100, 6)
 		bs := randBoxes(rng, 100+rng.Intn(400), 100, 6)
 		want := bruteJoin(as, bs)
-		got := collect(func(fn func(a, b Entry)) { BuildRTree(as).Join(BuildRTree(bs), fn) })
+		got := collect(t, as, bs)
 		checkJoin(t, got, want)
 	}
 }
@@ -94,15 +104,11 @@ func checkJoin(t *testing.T, got map[[2]int32]int, want map[[2]int32]bool) {
 }
 
 func TestEmptyInputs(t *testing.T) {
-	empty := BuildRTree(nil)
-	if empty.Len() != 0 {
+	if BuildRTree(nil).Len() != 0 {
 		t.Error("empty tree size")
 	}
-	some := BuildRTree(randBoxes(rand.New(rand.NewSource(4)), 10, 10, 2))
-	n := 0
-	empty.Join(some, func(a, b Entry) { n++ })
-	some.Join(empty, func(a, b Entry) { n++ })
-	if n != 0 {
+	some := randBoxes(rand.New(rand.NewSource(4)), 10, 10, 2)
+	if n := len(collect(t, nil, some)) + len(collect(t, some, nil)); n != 0 {
 		t.Error("join with empty tree must be empty")
 	}
 }
@@ -122,7 +128,7 @@ func TestRTreeDegenerateDistributions(t *testing.T) {
 	for i := range same {
 		same[i] = Entry{Box: geom.MBR{MinX: 1, MinY: 1, MaxX: 2, MaxY: 2}, ID: int32(i)}
 	}
-	got := collect(func(fn func(a, b Entry)) { BuildRTree(same).Join(BuildRTree(same), fn) })
+	got := collect(t, same, same)
 	if len(got) != 40*40 {
 		t.Fatalf("identical boxes: %d pairs, want 1600", len(got))
 	}
@@ -132,7 +138,7 @@ func TestRTreeDegenerateDistributions(t *testing.T) {
 		x := float64(i)
 		pts[i] = Entry{Box: geom.MBR{MinX: x, MinY: 0, MaxX: x, MaxY: 0}, ID: int32(i)}
 	}
-	got = collect(func(fn func(a, b Entry)) { BuildRTree(pts).Join(BuildRTree(pts), fn) })
+	got = collect(t, pts, pts)
 	if len(got) != 30 { // only self pairs
 		t.Fatalf("point boxes: %d pairs, want 30", len(got))
 	}

@@ -7,6 +7,7 @@
 package join
 
 import (
+	"context"
 	"math"
 	"sort"
 
@@ -114,92 +115,38 @@ func (t *RTree) Len() int { return t.size }
 // Bounds returns the MBR of all indexed entries.
 func (t *RTree) Bounds() geom.MBR { return t.root.box }
 
-// Query calls fn for every entry whose box intersects q.
-func (t *RTree) Query(q geom.MBR, fn func(Entry)) {
-	t.query(t.root, q, fn)
-}
-
-func (t *RTree) query(n *node, q geom.MBR, fn func(Entry)) {
-	if !n.box.Intersects(q) {
-		return
-	}
-	for _, e := range n.entries {
-		if e.Box.Intersects(q) {
-			fn(e)
-		}
-	}
-	for _, c := range n.children {
-		t.query(c, q, fn)
-	}
-}
-
-// Join reports every pair (a ∈ t, b ∈ o) with intersecting boxes via a
-// synchronized depth-first traversal of both trees.
-func (t *RTree) Join(o *RTree, fn func(a, b Entry)) {
-	joinNodesCtx(t.root, o.root, fn, nil, nil)
-}
-
-// JoinObserved is Join with work counters: node-pair visits, box
-// comparisons, and reported pairs (the candidate-pair count every
-// downstream pipeline metric is normalized against).
-func (t *RTree) JoinObserved(o *RTree, fn func(a, b Entry)) JoinStats {
-	var st JoinStats
-	joinNodesCtx(t.root, o.root, fn, &st, nil)
-	return st
-}
-
-// Pairs collects the join result of two MBR slices using the R-tree join;
-// it is the convenience entry point used by the harness to produce
-// candidate pairs.
+// Pairs is PairsContext without cancellation: the entry point the
+// harness and the batch CLI produce candidate pairs with.
 func Pairs(as, bs []geom.MBR) [][2]int32 {
-	ea := make([]Entry, len(as))
-	for i, b := range as {
-		ea[i] = Entry{Box: b, ID: int32(i)}
-	}
-	eb := make([]Entry, len(bs))
-	for i, b := range bs {
-		eb[i] = Entry{Box: b, ID: int32(i)}
-	}
-	ta, tb := BuildRTree(ea), BuildRTree(eb)
-	var out [][2]int32
-	ta.Join(tb, func(a, b Entry) { out = append(out, [2]int32{a.ID, b.ID}) })
+	out, _ := PairsContext(context.Background(), as, bs) // never cancelled
 	return out
 }
 
-func joinNodesCtx(a, b *node, fn func(x, y Entry), st *JoinStats, tk *ticker) error {
+func joinNodesCtx(a, b *node, fn func(x, y Entry), tk *ticker) error {
 	if err := tk.err(); err != nil {
 		return err
-	}
-	if st != nil {
-		st.NodeVisits++
 	}
 	if !a.box.Intersects(b.box) {
 		return nil
 	}
 	switch {
 	case a.entries != nil && b.entries != nil:
-		if st != nil {
-			st.Compares += int64(len(a.entries)) * int64(len(b.entries))
-		}
 		for _, ea := range a.entries {
 			for _, eb := range b.entries {
 				if ea.Box.Intersects(eb.Box) {
-					if st != nil {
-						st.Pairs++
-					}
 					fn(ea, eb)
 				}
 			}
 		}
 	case a.entries != nil:
 		for _, cb := range b.children {
-			if err := joinNodesCtx(a, cb, fn, st, tk); err != nil {
+			if err := joinNodesCtx(a, cb, fn, tk); err != nil {
 				return err
 			}
 		}
 	case b.entries != nil:
 		for _, ca := range a.children {
-			if err := joinNodesCtx(ca, b, fn, st, tk); err != nil {
+			if err := joinNodesCtx(ca, b, fn, tk); err != nil {
 				return err
 			}
 		}
@@ -209,7 +156,7 @@ func joinNodesCtx(a, b *node, fn func(x, y Entry), st *JoinStats, tk *ticker) er
 				continue
 			}
 			for _, cb := range b.children {
-				if err := joinNodesCtx(ca, cb, fn, st, tk); err != nil {
+				if err := joinNodesCtx(ca, cb, fn, tk); err != nil {
 					return err
 				}
 			}

@@ -9,14 +9,13 @@
 //   - Registry: a named collection of the above with get-or-create
 //     semantics and three exporters (Prometheus text format, JSON
 //     snapshot, human-readable table);
-//   - Span / Stopwatch: span-style stage timers for the MBR → IF →
-//     refine pipeline;
+//   - Span: a timer recording one operation into a histogram;
 //   - ServeDebug: an HTTP endpoint bundling /metrics with expvar and
 //     net/http/pprof so long joins can be profiled live.
 //
 // Everything is allocation-free and safe for concurrent use on the hot
 // path; instrumented call sites guard with a single pointer check so a
-// nil sink costs nothing when observability is off.
+// nil instrument costs nothing when observability is off.
 package obs
 
 import (
@@ -233,24 +232,5 @@ func (s Span) End() time.Duration {
 	if s.h != nil {
 		s.h.ObserveDuration(d)
 	}
-	return d
-}
-
-// Stopwatch times consecutive pipeline stages: each Lap returns the time
-// since the previous Lap (or since NewStopwatch), so a multi-stage hot
-// path pays one clock read per stage boundary.
-type Stopwatch struct {
-	last time.Time
-}
-
-// NewStopwatch starts a stopwatch.
-func NewStopwatch() Stopwatch { return Stopwatch{last: time.Now()} }
-
-// Lap returns the duration of the stage that just ended and restarts the
-// clock for the next one.
-func (w *Stopwatch) Lap() time.Duration {
-	now := time.Now()
-	d := now.Sub(w.last)
-	w.last = now
 	return d
 }

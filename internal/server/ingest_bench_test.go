@@ -11,8 +11,8 @@ import (
 )
 
 // TestZeroAllocMergedView pins the merged base+delta read path — view
-// traversal, tombstone bitset filter, delta/base object resolution,
-// scratch-based refinement — to zero heap allocations per pair once
+// traversal, tombstone bitset filter, delta/base object resolution, the
+// timed, stats-keeping per-pair evaluator — to zero heap allocations per pair once
 // warm (wired into `make bench`). The copy-on-write epoch machinery
 // must not tax the hot loop the paper's numbers depend on: all delta
 // bookkeeping happens at mutation time, reads stay flat.
@@ -38,14 +38,14 @@ func TestZeroAllocMergedView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep := core.NewSweeper(core.PC, core.NopSink{})
+	sweep := core.NewSweeper(core.PC, core.Test{}, new(core.MethodStats), true)
 	view := e.View()
 	ctx := context.Background()
 	pairs := 0
 	run := func() {
 		err := view.QueryContext(ctx, probe.MBR, func(delta bool, en join.Entry) {
 			pairs++
-			sweep.FindRelation(probe, e.objAt(delta, en.ID))
+			sweep.Eval(probe, e.objAt(delta, en.ID))
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -577,8 +577,8 @@ func (s *Server) handleRelate(ctx context.Context, r *http.Request) (any, error)
 	return RelateResponse{
 		Dataset:      req.Dataset,
 		Candidates:   len(pairs),
-		Evaluated:    ev.evaluated,
-		Refined:      ev.refined,
+		Evaluated:    ev.stats.Pairs,
+		Refined:      ev.stats.Undetermined,
 		Matches:      matches,
 		Truncated:    ev.truncated,
 		BatchSize:    1,
@@ -655,7 +655,7 @@ func (s *Server) handleJoin(ctx context.Context, r *http.Request) (any, error) {
 	ev, err := s.evalPairs(rctx, "join", start, pairs, method, test, limit, func(i int, relation string) {
 		resp.Pairs = append(resp.Pairs, JoinPair{LeftID: pairs[i].R.ID, RightID: pairs[i].S.ID, Relation: relation})
 	})
-	if test.holds == nil {
+	if test.Find() {
 		// Find-relation joins publish their sweep stats into the registry,
 		// even when the sweep was cut short.
 		ev.stats.Publish(s.met, "server_join")
@@ -669,18 +669,18 @@ func (s *Server) handleJoin(ctx context.Context, r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp.Evaluated, resp.Refined, resp.Holds, resp.Truncated = ev.evaluated, ev.refined, ev.holds, ev.truncated
+	resp.Evaluated, resp.Refined, resp.Holds, resp.Truncated = ev.stats.Pairs, ev.stats.Undetermined, ev.stats.Holds, ev.truncated
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	return resp, nil
 }
 
 // pairTest is what a relate or join request asks of each candidate
-// pair: its most specific relation (Algorithm 1) when holds is nil, else
-// whether a relate_p predicate or an arbitrary DE-9IM mask holds.
+// pair — its most specific relation (the zero core.Test, Algorithm 1),
+// or whether a relate_p predicate or an arbitrary DE-9IM mask holds —
+// and the relation a holding pair reports in the response: the
+// predicate's name, empty for a mask.
 type pairTest struct {
-	holds func(m core.Method, r, s *core.Object) core.RelateResult
-	// relation names a holding pair's relation in the response: the
-	// predicate's name, empty for a mask.
+	core.Test
 	relation string
 }
 
@@ -694,43 +694,37 @@ func parsePairTest(predicate, mask string) (pairTest, error) {
 		if err != nil {
 			return pairTest{}, err
 		}
-		return pairTest{relation: pred.String(), holds: func(m core.Method, r, s *core.Object) core.RelateResult {
-			return core.RelatePred(m, r, s, pred)
-		}}, nil
+		return pairTest{Test: core.PredicateTest(pred), relation: pred.String()}, nil
 	case mask != "":
 		dm, err := de9im.ParseMask(mask)
 		if err != nil {
 			return pairTest{}, errf(http.StatusBadRequest, "mask: %v", err)
 		}
-		return pairTest{holds: func(m core.Method, r, s *core.Object) core.RelateResult {
-			return core.RelateMask(m, r, s, dm)
-		}}, nil
+		return pairTest{Test: core.MaskTest(dm)}, nil
 	}
 	return pairTest{}, nil
 }
 
 // evaluation is what evalPairs reports besides the accepted pairs.
 type evaluation struct {
-	evaluated, refined int
-	holds              int // predicate/mask mode: pairs the test held for
-	truncated          bool
-	// stats is the find-relation sweep's verdict, relation and stage
-	// tallies (zero in predicate/mask mode).
-	stats core.MethodStats
+	// stats is the sweep's pair, verdict, holds, relation and stage
+	// tallies.
+	stats     core.MethodStats
+	truncated bool
 }
 
 // evalPairs is the one evaluation path of /v1/relate and /v1/join: it
-// runs the request's test over the candidate pairs on the core executor
-// — find mode through core.RunFindRelation, predicate and mask mode
-// through a Sweep body whose tallies are kept per worker and merged
-// after the pool drains (no shared lock per pair). emit receives,
-// serially, the index and reported relation of each accepted pair up to
-// limit; beyond it the evaluation is truncated. A panicking pair is
-// counted, repro-dumped and fails the request with a 500; ctx's deadline
-// cuts the sweep short. start is when the handler began the request's
-// own work: a request slower than the tracer's slow threshold dumps its
-// slowest pair. The evaluation is returned even with an error and then
-// covers the pairs actually evaluated.
+// runs the request's test over the candidate pairs through
+// core.RunSweep. emit receives, serially, the index and reported
+// relation of each accepted pair — a related pair in find mode, a
+// holding one otherwise — up to limit; beyond it the evaluation is
+// truncated. A panicking pair is counted, repro-dumped and fails the
+// request with a 500; ctx's deadline cuts the sweep short. start is when
+// the handler began the request's own work: a request slower than the
+// tracer's slow threshold dumps its slowest pair, so predicate and mask
+// pairs are timed whenever the slow-query log is on. The evaluation is
+// returned even with an error and then covers the pairs actually
+// evaluated.
 func (s *Server) evalPairs(ctx context.Context, route string, start time.Time, pairs []core.Pair,
 	method core.Method, test pairTest, limit int, emit func(i int, relation string)) (evaluation, error) {
 	var ev evaluation
@@ -748,81 +742,34 @@ func (s *Server) evalPairs(ctx context.Context, route string, start time.Time, p
 	}
 	rsp := trace.FromContext(ctx)
 	rsp.SetInt("candidates", int64(len(pairs)))
-	slowIdx, slowDur := -1, time.Duration(0)
+	slowLog := s.slowThr > 0 && s.cfg.SlowDir != ""
 	var err error
-	if test.holds == nil {
-		ev.stats, err = core.RunFindRelation(ctx, method, pairs, s.cfg.JoinWorkers, func(i int, r core.Result) {
-			if r.Relation != de9im.Disjoint {
+	ev.stats, err = core.RunSweep(ctx, method, test.Test, pairs, s.cfg.JoinWorkers, slowLog,
+		func(i int, r core.Result, holds bool) {
+			switch {
+			case holds:
+				accept(i, test.relation)
+			case test.Find() && r.Relation != de9im.Disjoint:
 				accept(i, r.Relation.String())
 			}
 		})
-		var pe *core.PanicError
-		if errors.As(err, &pe) {
-			// Find-mode join dumps are tagged apart from predicate ones.
-			tag := route
-			if route == "join" {
-				tag = "join-find"
-			}
-			for _, pp := range pe.Pairs {
-				s.pairPanic(tag, pairs[pp.Index].R, pairs[pp.Index].S, pp.Value)
-			}
-			err = errPairPanics(len(pe.Pairs))
+	var pe *core.PanicError
+	if errors.As(err, &pe) {
+		// Find-mode join dumps are tagged apart from predicate ones.
+		tag := route
+		if route == "join" && test.Find() {
+			tag = "join-find"
 		}
-		ev.evaluated, ev.refined = ev.stats.Pairs, ev.stats.Undetermined
-		slowIdx, slowDur = ev.stats.SlowPair, ev.stats.SlowPairTime
-	} else {
-		// Pairs are timed only when a sampled trace or the slow-query log
-		// can use the timing: then the sweep reports its slowest pair and a
-		// sampled trace gets a pair span per pair under its worker span.
-		type tally struct{ evaluated, refined, holds int }
-		var tallies []*tally
-		track := rsp.Recording() || (s.slowThr > 0 && s.cfg.SlowDir != "")
-		res := core.Sweep(ctx, len(pairs), s.cfg.JoinWorkers, func(wsp *trace.Span) core.SweepBody {
-			t := new(tally)
-			tallies = append(tallies, t)
-			return func(i int) time.Duration {
-				p := pairs[i]
-				var t0 time.Time
-				if track {
-					t0 = time.Now()
-				}
-				rr := test.holds(method, p.R, p.S)
-				t.evaluated++
-				if rr.Refined {
-					t.refined++
-				}
-				if rr.Holds {
-					t.holds++
-					accept(i, test.relation)
-				}
-				if !track {
-					return 0
-				}
-				d := time.Since(t0)
-				if ps := wsp.ChildAt("pair", t0, d); ps != nil {
-					ps.SetInt("r_id", int64(p.R.ID))
-					ps.SetInt("s_id", int64(p.S.ID))
-				}
-				return d
-			}
-		}, func(i int, v any, _ string) {
-			s.pairPanic(route, pairs[i].R, pairs[i].S, v)
-		})
-		for _, t := range tallies {
-			ev.evaluated += t.evaluated
-			ev.refined += t.refined
-			ev.holds += t.holds
+		for _, pp := range pe.Pairs {
+			s.pairPanic(tag, pairs[pp.Index].R, pairs[pp.Index].S, pp.Value)
 		}
-		slowIdx, slowDur = res.SlowIndex, res.SlowTime
-		err = ctx.Err()
-		if res.Panicked > 0 {
-			err = errPairPanics(res.Panicked)
-		}
+		err = errPairPanics(len(pe.Pairs))
 	}
-	rsp.SetInt("evaluated", int64(ev.evaluated))
-	rsp.SetInt("refined", int64(ev.refined))
+	rsp.SetInt("evaluated", int64(ev.stats.Pairs))
+	rsp.SetInt("refined", int64(ev.stats.Undetermined))
 	// Slow-pair forensics ride the root span even on unsampled traces:
 	// a slow request kept root-only still names its worst pair.
+	slowIdx, slowDur := ev.stats.SlowPair, ev.stats.SlowPairTime
 	if slowDur > 0 && slowIdx >= 0 && slowIdx < len(pairs) {
 		p := pairs[slowIdx]
 		rsp.SetInt("slow_pair_r", int64(p.R.ID))

@@ -30,6 +30,53 @@ func newTracedServer(t *testing.T, cfg Config, sets ...string) (*Server, *Client
 	return svc, NewClient(ts.URL), tr, ts.URL
 }
 
+// TestJoinPredicateTraceSpans: predicate and mask joins run through the
+// same per-pair evaluator as find-relation joins, so a sampled one
+// carries the same pair spans — a verdict attribute naming the settling
+// stage and a filter stage child under every pair.
+func TestJoinPredicateTraceSpans(t *testing.T) {
+	_, c, tr, _ := newTracedServer(t, Config{}, "OLE", "OPE")
+	for _, req := range []JoinRequest{
+		{Left: "OLE", Right: "OPE", Predicate: "inside"},
+		{Left: "OLE", Right: "OPE", Mask: "T*F**F***"},
+	} {
+		jr, err := c.Join(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jr.Evaluated == 0 {
+			t.Fatalf("%+v: join swept nothing", req)
+		}
+		traces := tr.Traces()
+		td := traces[len(traces)-1]
+		if td.Root.Name != "http.join" || !td.Sampled {
+			t.Fatalf("%+v: last trace is %q (sampled %t)", req, td.Root.Name, td.Sampled)
+		}
+		pairs := 0
+		for _, worker := range td.Root.Children {
+			for _, pair := range worker.Children {
+				if pair.Name != "pair" {
+					continue
+				}
+				pairs++
+				if v := pair.Attr("verdict"); v != "mbr" && v != "if" && v != "refine" {
+					t.Fatalf("%+v: pair span verdict %q; attrs %+v", req, v, pair.Attrs)
+				}
+				filter := false
+				for _, stage := range pair.Children {
+					filter = filter || stage.Name == "filter"
+				}
+				if !filter {
+					t.Fatalf("%+v: pair span without a filter child: %+v", req, pair)
+				}
+			}
+		}
+		if pairs == 0 {
+			t.Fatalf("%+v: no pair spans under any worker", req)
+		}
+	}
+}
+
 // TestJoinTraceDepth is the tentpole acceptance check: a sampled
 // /v1/join yields a trace with at least three nested span levels
 // (handler → sweep worker → settling stage) and the buffer exports as

@@ -283,7 +283,7 @@ func (s *Span) Child(name string) *Span {
 
 // ChildAt attaches an already-completed child span with an explicit
 // start and duration — how the sweep records per-pair settling stages
-// retroactively from durations measured by the pipeline sink, without
+// retroactively from durations the per-pair evaluator measured, without
 // a second set of clock reads.
 func (s *Span) ChildAt(name string, start time.Time, dur time.Duration) *Span {
 	if s == nil || !s.trace.sampled {
