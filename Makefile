@@ -60,9 +60,13 @@ vet:
 # must stay within 5%. The ZeroAlloc guards pin the hot path — interval
 # kernels, scratch refinement, the sweeper under every method and test
 # (find, predicate, mask), the merged epoch view — to zero heap
-# allocations per pair (see README "Performance").
+# allocations per pair (see README "Performance"); the kernel pin runs a
+# balanced and a skewed pair, so both kernel forms are covered.
+# BenchmarkKernels times both kernel forms from balanced to skewed
+# shapes: where seek starts to win justifies seekRatio (relations.go).
 bench:
 	$(GO) test -count=1 -run 'ZeroAlloc|AllocFootprint' ./internal/interval/ ./internal/de9im/ ./internal/core/ ./internal/server/
+	$(GO) test -run xxx -bench BenchmarkKernels -benchtime 200ms -benchmem ./internal/interval/
 	$(GO) test -run xxx -bench 'BenchmarkObservedOverhead|BenchmarkTraceOverhead' -benchmem .
 	$(GO) test -run xxx -bench BenchmarkRouterFanout -benchmem ./internal/shard/router/
 	$(GO) test -run xxx -bench 'BenchmarkIngest|BenchmarkCompact' -benchmem ./internal/server/

@@ -7,9 +7,9 @@
 //	inside   — every interval of X is contained in one interval of Y
 //	contains — every interval of Y is contained in one interval of X
 //
-// Every relation is evaluated in O(|X| + |Y|) time by a single merge scan,
-// which is what makes the intermediate filter cheap relative to DE-9IM
-// refinement.
+// Every relation is one forward pass — a merge in O(|X| + |Y|), or for
+// skewed lengths a gallop in O(|short| · log(|long|/|short|)) — which is
+// what makes the intermediate filter cheap relative to DE-9IM refinement.
 package interval
 
 import "sort"
@@ -24,16 +24,6 @@ func (iv Interval) Len() uint64 { return iv.End - iv.Start }
 
 // Contains reports whether cell d lies in the interval.
 func (iv Interval) Contains(d uint64) bool { return iv.Start <= d && d < iv.End }
-
-// ContainsIv reports whether o is a sub-interval of iv.
-func (iv Interval) ContainsIv(o Interval) bool {
-	return iv.Start <= o.Start && o.End <= iv.End
-}
-
-// Overlaps reports whether the two intervals share at least one cell.
-func (iv Interval) Overlaps(o Interval) bool {
-	return iv.Start < o.End && o.Start < iv.End
-}
 
 // List is a normalized interval list: sorted by Start, pairwise disjoint,
 // with no empty and no adjacent (mergeable) intervals.

@@ -1,7 +1,9 @@
 package interval
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -69,24 +71,141 @@ func randKernelList(rng *rand.Rand, maxRuns int) List {
 	return FromCells(cells)
 }
 
+// kernelForm is one way to evaluate a relation on two lists.
+type kernelForm struct {
+	name string
+	fn   func(x, y List) bool
+}
+
+// The public dispatch and both forms of each skew-dispatched kernel.
+// Every form is correct on every input, whatever the length ratio, so
+// the cross-checks run all of them rather than only the one the ratio
+// would pick: small lists never reach the seek form through Overlap or
+// Inside, and skewed ones never reach the merge form.
+var (
+	overlapForms = []kernelForm{{"Overlap", Overlap}, {"overlapMerge", overlapMerge}, {"overlapSeek", overlapSeek}}
+	insideForms  = []kernelForm{{"Inside", Inside}, {"insideMerge", insideMerge}, {"insideSeek", insideSeek}}
+)
+
 func checkAgainstReference(t *testing.T, x, y List) {
 	t.Helper()
-	if got, want := Overlap(x, y), refOverlap(x, y); got != want {
-		t.Fatalf("Overlap(%v, %v) = %v, reference %v", x, y, got, want)
+	for _, f := range overlapForms {
+		if got, want := f.fn(x, y), refOverlap(x, y); got != want {
+			t.Fatalf("%s(%v, %v) = %v, reference %v", f.name, x, y, got, want)
+		}
 	}
 	if got, want := Match(x, y), refMatch(x, y); got != want {
 		t.Fatalf("Match(%v, %v) = %v, reference %v", x, y, got, want)
 	}
-	if got, want := Inside(x, y), refInside(x, y); got != want {
-		t.Fatalf("Inside(%v, %v) = %v, reference %v", x, y, got, want)
+	for _, f := range insideForms {
+		if got, want := f.fn(x, y), refInside(x, y); got != want {
+			t.Fatalf("%s(%v, %v) = %v, reference %v", f.name, x, y, got, want)
+		}
 	}
 	if got, want := Contains(x, y), refContains(x, y); got != want {
 		t.Fatalf("Contains(%v, %v) = %v, reference %v", x, y, got, want)
 	}
 }
 
-// TestKernelsMatchReference cross-checks the branch-reduced kernels
-// against the reference implementations on randomized list pairs,
+// randRuns builds a normalized list of n runs after cell from, with
+// gaps and widths of 1-8 cells.
+func randRuns(rng *rand.Rand, from uint64, n int) List {
+	l := make(List, n)
+	at := from
+	for i := range l {
+		at += 1 + uint64(rng.Intn(8)) // gap ≥ 1 keeps the list normalized
+		w := 1 + uint64(rng.Intn(8))
+		l[i] = Interval{at, at + w}
+		at += w
+	}
+	return l
+}
+
+// randSkewedPair builds a short list of 1-4 runs and a long list of
+// 32-1,024 runs (so Overlap and Inside dispatch to the seek form), with
+// each short run placed before, after, inside, adjacent to, or
+// straddling the long list's runs. Half the pairs place every short
+// run the same way, so all-inside (Inside true) and all-outside
+// (Overlap false) verdicts are common.
+func randSkewedPair(rng *rand.Rand) (short, long List) {
+	n := 32 + rng.Intn(1024-32+1)
+	long = randRuns(rng, 1<<20, n)
+	first, last := long[0], long[n-1]
+	mode := -1
+	if rng.Intn(2) == 0 {
+		mode = rng.Intn(6)
+	}
+	k := 1 + rng.Intn(4)
+	ivs := make([]Interval, 0, k)
+	for i := 0; i < k; i++ {
+		m := mode
+		if m < 0 {
+			m = rng.Intn(6)
+		}
+		r := long[rng.Intn(n)]
+		w := 1 + uint64(rng.Intn(4))
+		var iv Interval
+		switch m {
+		case 0: // before the long list, possibly flush against it
+			end := first.Start - uint64(rng.Intn(3))
+			iv = Interval{end - w, end}
+		case 1: // after the long list, possibly flush against it
+			start := last.End + uint64(rng.Intn(3))
+			iv = Interval{start, start + w}
+		case 2: // inside one long run, up to the whole run
+			s := r.Start + uint64(rng.Intn(int(r.Len())))
+			iv = Interval{s, s + 1 + uint64(rng.Intn(int(r.End-s)))}
+		case 3: // adjacent to a long run, on either side
+			if rng.Intn(2) == 0 {
+				iv = Interval{r.Start - 1, r.Start}
+			} else {
+				iv = Interval{r.End, r.End + 1}
+			}
+		case 4: // straddling a long run's start or end, or the whole run
+			switch rng.Intn(3) {
+			case 0:
+				iv = Interval{r.Start - 1, r.Start + 1}
+			case 1:
+				iv = Interval{r.End - 1, r.End + 1}
+			default:
+				iv = Interval{r.Start - 1, r.End + 1}
+			}
+		default: // straddling the whole long list
+			iv = Interval{first.Start - w, last.End + w}
+		}
+		ivs = append(ivs, iv)
+	}
+	return Normalize(ivs), long
+}
+
+// TestKernelsSkewed cross-checks every form on skewed pairs, in both
+// argument orders: the seek form walks the short list in one order and
+// the long list in the other.
+func TestKernelsSkewed(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	var overlaps, insides int
+	const trials = 5000
+	for trial := 0; trial < trials; trial++ {
+		short, long := randSkewedPair(rng)
+		if len(long) < seekRatio*len(short) {
+			t.Fatalf("pair not skewed: %d vs %d runs", len(short), len(long))
+		}
+		checkAgainstReference(t, short, long)
+		checkAgainstReference(t, long, short)
+		overlaps += b2i(refOverlap(short, long))
+		insides += b2i(refInside(short, long))
+	}
+	// Each verdict of each relation must be well represented, or the
+	// generator has stopped reaching one of the seek form's exits.
+	for name, n := range map[string]int{"overlap": overlaps, "inside": insides} {
+		if n < trials/10 || n > trials-trials/10 {
+			t.Errorf("%s held on %d of %d pairs", name, n, trials)
+		}
+	}
+}
+
+// TestKernelsMatchReference cross-checks the kernels against the
+// reference implementations on randomized list pairs,
 // including derived pairs engineered to hit match/inside verdicts.
 func TestKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -123,11 +242,24 @@ func TestKernelsExhaustiveSmall(t *testing.T) {
 }
 
 // FuzzKernels derives two lists from raw bytes and cross-checks every
-// kernel against its reference implementation.
+// kernel form against its reference implementation. The later seeds
+// are skewed: a few cells against a list of up to 128 runs.
 func FuzzKernels(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 200, 5}, []byte{3, 4})
 	f.Add([]byte{}, []byte{0, 0, 0})
 	f.Add([]byte{255, 254, 253}, []byte{255, 254, 253})
+	every := func(from, step int) []byte {
+		var b []byte
+		for c := from; c < 256; c += step {
+			b = append(b, byte(c))
+		}
+		return b
+	}
+	f.Add([]byte{100}, every(0, 2))                // inside one run
+	f.Add([]byte{101}, every(0, 2))                // in a gap
+	f.Add([]byte{0, 255}, every(2, 2))             // before and after
+	f.Add([]byte{150, 151, 152}, every(0, 3))      // straddling
+	f.Add(every(0, 4), []byte{40, 41, 42, 43, 44}) // long list first
 	f.Fuzz(func(t *testing.T, xb, yb []byte) {
 		toList := func(b []byte) List {
 			cells := make([]uint64, len(b))
@@ -142,19 +274,24 @@ func FuzzKernels(f *testing.F) {
 }
 
 // TestZeroAllocKernels pins the four kernels to zero heap allocations
-// per call (wired into `make bench`): the intermediate filter runs them
-// for every candidate pair, so a single allocation here shows up as
+// per call (wired into `make bench`), on a balanced pair (merge form)
+// and a skewed one (seek form): the intermediate filter runs them for
+// every candidate pair, so a single allocation here shows up as
 // pairs-per-second on every workload.
 func TestZeroAllocKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x := randKernelList(rng, 12)
 	y := randKernelList(rng, 12)
+	short, long := randSkewedPair(rng)
 	var sink bool
 	kernels := map[string]func(){
-		"Overlap":  func() { sink = Overlap(x, y) },
-		"Match":    func() { sink = Match(x, y) },
-		"Inside":   func() { sink = Inside(x, y) },
-		"Contains": func() { sink = Contains(x, y) },
+		"Overlap":         func() { sink = Overlap(x, y) },
+		"Match":           func() { sink = Match(x, y) },
+		"Inside":          func() { sink = Inside(x, y) },
+		"Contains":        func() { sink = Contains(x, y) },
+		"Overlap/skewed":  func() { sink = Overlap(short, long) },
+		"Inside/skewed":   func() { sink = Inside(short, long) },
+		"Contains/skewed": func() { sink = Contains(long, short) },
 	}
 	for name, fn := range kernels {
 		if allocs := testing.AllocsPerRun(200, fn); allocs != 0 {
@@ -162,4 +299,63 @@ func TestZeroAllocKernels(t *testing.T) {
 		}
 	}
 	_ = sink
+}
+
+// kernelBenchPairs builds 64 pairs of a k-run list against an n-run
+// list. With inside set, each short run is a sub-interval of a distinct
+// long run, as a landmark's cells sit inside a county's, so Inside walks
+// all of the short list; otherwise the short runs fall anywhere in the
+// long list's span, so most verdicts come early.
+func kernelBenchPairs(k, n int, inside bool) [][2]List {
+	rng := rand.New(rand.NewSource(int64(k*1_000_003 + n)))
+	pairs := make([][2]List, 64)
+	for p := range pairs {
+		long := randRuns(rng, 0, n)
+		short := make([]Interval, k)
+		if inside {
+			idx := rng.Perm(n)[:k]
+			sort.Ints(idx)
+			for i, j := range idx {
+				r := long[j]
+				s := r.Start + uint64(rng.Intn(int(r.Len())))
+				short[i] = Interval{s, s + 1 + uint64(rng.Intn(int(r.End-s)))}
+			}
+		} else {
+			for i := range short {
+				s := rng.Uint64() % long[n-1].End
+				short[i] = Interval{s, s + 1 + uint64(rng.Intn(4))}
+			}
+		}
+		pairs[p] = [2]List{Normalize(short), long}
+	}
+	return pairs
+}
+
+var benchHits int
+
+// BenchmarkKernels times Overlap + Inside per pair in each form, on
+// shapes from balanced to the TL x TC skew (short runs x long runs).
+// The ratio from which the seek form beats the merge is seekRatio's
+// justification.
+func BenchmarkKernels(b *testing.B) {
+	forms := []struct {
+		name            string
+		overlap, inside func(x, y List) bool
+	}{{"merge", overlapMerge, insideMerge}, {"seek", overlapSeek, insideSeek}}
+	for _, placement := range []string{"inside", "random"} {
+		for _, shape := range [][2]int{{8, 8}, {8, 16}, {8, 32}, {8, 64}, {5, 400}} {
+			pairs := kernelBenchPairs(shape[0], shape[1], placement == "inside")
+			for _, f := range forms {
+				name := fmt.Sprintf("%s/%dx%d/%s", placement, shape[0], shape[1], f.name)
+				b.Run(name, func(b *testing.B) {
+					hits := 0
+					for i := 0; i < b.N; i++ {
+						p := pairs[i%len(pairs)]
+						hits += b2i(f.overlap(p[0], p[1])) + b2i(f.inside(p[0], p[1]))
+					}
+					benchHits = hits
+				})
+			}
+		}
+	}
 }

@@ -1,18 +1,17 @@
 package interval
 
-// The four merge-join relations below are the innermost loops of the
-// intermediate filter: every candidate pair runs at least one of them,
-// often several. They are written as branch-reduced sorted-run
-// merge-join kernels: the only data-dependent branches left are the
-// verdict exits; run advancement is arithmetic (b2i compiles to
-// SETcc/CMOV, not a jump), so the loops do not stall on the branch
-// predictor for adversarial interleavings. None of them allocates or
-// dispatches through an interface; inputs are plain normalized slices.
-//
-// Each kernel is cross-checked against the straightforward reference
-// implementation on randomized and fuzzed inputs (relations_test.go,
-// kernels_test.go) and guarded by a zero-allocation test wired into
-// `make bench`.
+// The four relations below are the innermost loops of the intermediate
+// filter; none allocates or dispatches through an interface. Overlap and
+// Inside have two forms, picked by the lists' lengths: for balanced lists
+// a merge join whose run advancement is arithmetic (b2i compiles to
+// SETcc/CMOV, not a jump), and once one list is seekRatio times the other
+// a seek that walks the short list and gallops the long list's cursor to
+// the one run that decides each short run. kernels_test.go cross-checks
+// both forms against reference implementations on every input.
+
+// seekRatio is the length ratio from which seek beats merge
+// (BenchmarkKernels).
+const seekRatio = 4
 
 // b2i converts a bool to 0/1 without a branch.
 func b2i(b bool) int {
@@ -22,9 +21,43 @@ func b2i(b bool) int {
 	return 0
 }
 
+// seek returns the first index k ≥ j with y[k].End > v, or len(y). Ends
+// strictly increase along a normalized list, so an exponential probe
+// from j brackets k and a binary search settles it in O(log(k − j)).
+func seek(y List, j int, v uint64) int {
+	if j >= len(y) || y[j].End > v {
+		return j
+	}
+	// Invariant: y[lo].End ≤ v, and hi == len(y) or y[hi].End > v.
+	lo, hi := j, j+1
+	for hi < len(y) && y[hi].End <= v {
+		lo, hi = hi, hi+2*(hi-lo)
+	}
+	hi = min(hi, len(y))
+	for hi-lo > 1 {
+		if m := int(uint(lo+hi) >> 1); y[m].End <= v {
+			lo = m
+		} else {
+			hi = m
+		}
+	}
+	return hi
+}
+
 // Overlap reports whether lists x and y share at least one cell id
-// ('X,Y overlap' in the paper). Single merge scan, O(|x| + |y|).
+// ('X,Y overlap' in the paper): O(|x| + |y|) for balanced lists,
+// O(|short| · log(|long|/|short|)) for skewed ones.
 func Overlap(x, y List) bool {
+	if len(x) > len(y) {
+		x, y = y, x
+	}
+	if len(y) >= seekRatio*len(x) {
+		return overlapSeek(x, y)
+	}
+	return overlapMerge(x, y)
+}
+
+func overlapMerge(x, y List) bool {
 	i, j := 0, 0
 	for i < len(x) && j < len(y) {
 		a, b := x[i], y[j]
@@ -37,6 +70,20 @@ func Overlap(x, y List) bool {
 		adv := b2i(a.End <= b.End)
 		i += adv
 		j += 1 - adv
+	}
+	return false
+}
+
+// overlapSeek: only the first y-run ending after a.Start can meet a.
+func overlapSeek(x, y List) bool {
+	j := 0
+	for _, a := range x {
+		if j = seek(y, j, a.Start); j == len(y) {
+			return false
+		}
+		if y[j].Start < a.End {
+			return true
+		}
 	}
 	return false
 }
@@ -57,8 +104,16 @@ func Match(x, y List) bool {
 // Inside reports whether every interval of x is contained in some interval
 // of y ('X inside Y'). Because both lists are normalized, each x-interval
 // can only be covered by the unique y-interval whose End first reaches its
-// End, so one forward merge decides all of x.
+// End, so one forward pass decides all of x: a merge for balanced lists,
+// a seek once y is seekRatio times longer than x.
 func Inside(x, y List) bool {
+	if len(y) >= seekRatio*len(x) {
+		return insideSeek(x, y)
+	}
+	return insideMerge(x, y)
+}
+
+func insideMerge(x, y List) bool {
 	i, j := 0, 0
 	for i < len(x) {
 		if j == len(y) {
@@ -78,65 +133,18 @@ func Inside(x, y List) bool {
 	return true
 }
 
+// insideSeek: only the first y-run with End ≥ a.End (> a.End−1, as
+// a.End ≥ 1) can cover a.
+func insideSeek(x, y List) bool {
+	j := 0
+	for _, a := range x {
+		if j = seek(y, j, a.End-1); j == len(y) || y[j].Start > a.Start {
+			return false
+		}
+	}
+	return true
+}
+
 // Contains reports whether every interval of y is contained in some
 // interval of x ('X contains Y').
 func Contains(x, y List) bool { return Inside(y, x) }
-
-// Union returns the normalized union of the two lists.
-func Union(x, y List) List {
-	merged := make([]Interval, 0, len(x)+len(y))
-	merged = append(merged, x...)
-	merged = append(merged, y...)
-	return Normalize(merged)
-}
-
-// Intersect returns the normalized intersection of the two lists.
-func Intersect(x, y List) List {
-	var out List
-	i, j := 0, 0
-	for i < len(x) && j < len(y) {
-		a, b := x[i], y[j]
-		lo, hi := a.Start, a.End
-		if b.Start > lo {
-			lo = b.Start
-		}
-		if b.End < hi {
-			hi = b.End
-		}
-		if lo < hi {
-			out = append(out, Interval{lo, hi})
-		}
-		if a.End <= b.End {
-			i++
-		} else {
-			j++
-		}
-	}
-	return out
-}
-
-// Subtract returns the normalized difference x \ y.
-func Subtract(x, y List) List {
-	var out List
-	j := 0
-	for _, iv := range x {
-		cur := iv.Start
-		for j < len(y) && y[j].End <= cur {
-			j++
-		}
-		k := j
-		for k < len(y) && y[k].Start < iv.End {
-			if y[k].Start > cur {
-				out = append(out, Interval{cur, y[k].Start})
-			}
-			if y[k].End > cur {
-				cur = y[k].End
-			}
-			k++
-		}
-		if cur < iv.End {
-			out = append(out, Interval{cur, iv.End})
-		}
-	}
-	return out
-}
