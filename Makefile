@@ -61,9 +61,8 @@ vet:
 # kernels, scratch refinement, the sweeper under every method and test
 # (find, predicate, mask), the merged epoch view — to zero heap
 # allocations per pair (see README "Performance"); the kernel pin runs a
-# balanced and a skewed pair, so both kernel forms are covered.
-# BenchmarkKernels times both kernel forms from balanced to skewed
-# shapes: where seek starts to win justifies seekRatio (relations.go).
+# balanced and a skewed pair. BenchmarkKernels times the galloping
+# kernels against the reference merge from balanced to skewed shapes.
 bench:
 	$(GO) test -count=1 -run 'ZeroAlloc|AllocFootprint' ./internal/interval/ ./internal/de9im/ ./internal/core/ ./internal/server/
 	$(GO) test -run xxx -bench BenchmarkKernels -benchtime 200ms -benchmem ./internal/interval/

@@ -1,9 +1,8 @@
 package interval
 
 // Interval predicates and set operations over normalized lists that only
-// this package's tests use: in the reference kernels, to derive
-// inside-by-construction kernel inputs, and to pin set semantics at the
-// boundaries of the id space.
+// this package's tests use: in the reference kernels and to derive
+// inside-by-construction kernel inputs.
 
 // ContainsIv reports whether o is a sub-interval of iv.
 func (iv Interval) ContainsIv(o Interval) bool {
@@ -43,32 +42,6 @@ func Intersect(x, y List) List {
 			i++
 		} else {
 			j++
-		}
-	}
-	return out
-}
-
-// Subtract returns the normalized difference x \ y.
-func Subtract(x, y List) List {
-	var out List
-	j := 0
-	for _, iv := range x {
-		cur := iv.Start
-		for j < len(y) && y[j].End <= cur {
-			j++
-		}
-		k := j
-		for k < len(y) && y[k].Start < iv.End {
-			if y[k].Start > cur {
-				out = append(out, Interval{cur, y[k].Start})
-			}
-			if y[k].End > cur {
-				cur = y[k].End
-			}
-			k++
-		}
-		if cur < iv.End {
-			out = append(out, Interval{cur, iv.End})
 		}
 	}
 	return out

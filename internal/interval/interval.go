@@ -7,9 +7,11 @@
 //	inside   — every interval of X is contained in one interval of Y
 //	contains — every interval of Y is contained in one interval of X
 //
-// Every relation is one forward pass — a merge in O(|X| + |Y|), or for
-// skewed lengths a gallop in O(|short| · log(|long|/|short|)) — which is
-// what makes the intermediate filter cheap relative to DE-9IM refinement.
+// Every relation is one forward pass. Overlap and inside walk one list
+// and gallop through the other, so a short list against a long one costs
+// O(|short| · log(|long|/|short|)) rather than a scan of the long list.
+// That is what makes the intermediate filter cheap relative to DE-9IM
+// refinement.
 package interval
 
 import "sort"

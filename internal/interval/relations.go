@@ -2,24 +2,13 @@ package interval
 
 // The four relations below are the innermost loops of the intermediate
 // filter; none allocates or dispatches through an interface. Overlap and
-// Inside have two forms, picked by the lists' lengths: for balanced lists
-// a merge join whose run advancement is arithmetic (b2i compiles to
-// SETcc/CMOV, not a jump), and once one list is seekRatio times the other
-// a seek that walks the short list and gallops the long list's cursor to
-// the one run that decides each short run. kernels_test.go cross-checks
-// both forms against reference implementations on every input.
-
-// seekRatio is the length ratio from which seek beats merge
-// (BenchmarkKernels).
-const seekRatio = 4
-
-// b2i converts a bool to 0/1 without a branch.
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
+// Inside walk one list and, for each of its runs, seek the other list's
+// cursor forward to the one run that decides it, so a short list against
+// a long one costs O(|short| · log(|long|/|short|)) instead of a scan of
+// the long list: a landmark's few runs against a county's hundreds touch
+// a few dozen runs, not the whole county. kernels_test.go cross-checks
+// them against plain merge-join reference implementations on every
+// input.
 
 // seek returns the first index k ≥ j with y[k].End > v, or len(y). Ends
 // strictly increase along a normalized list, so an exponential probe
@@ -45,37 +34,12 @@ func seek(y List, j int, v uint64) int {
 }
 
 // Overlap reports whether lists x and y share at least one cell id
-// ('X,Y overlap' in the paper): O(|x| + |y|) for balanced lists,
-// O(|short| · log(|long|/|short|)) for skewed ones.
+// ('X,Y overlap' in the paper). It walks the shorter list: only the
+// first run of the other list ending after a run's start can meet it.
 func Overlap(x, y List) bool {
 	if len(x) > len(y) {
 		x, y = y, x
 	}
-	if len(y) >= seekRatio*len(x) {
-		return overlapSeek(x, y)
-	}
-	return overlapMerge(x, y)
-}
-
-func overlapMerge(x, y List) bool {
-	i, j := 0, 0
-	for i < len(x) && j < len(y) {
-		a, b := x[i], y[j]
-		if a.Start < b.End && b.Start < a.End {
-			return true
-		}
-		// No overlap: exactly one list's run ends at or before the other
-		// run's start; advancing the run with the smaller End is the same
-		// decision without comparing against Start.
-		adv := b2i(a.End <= b.End)
-		i += adv
-		j += 1 - adv
-	}
-	return false
-}
-
-// overlapSeek: only the first y-run ending after a.Start can meet a.
-func overlapSeek(x, y List) bool {
 	j := 0
 	for _, a := range x {
 		if j = seek(y, j, a.Start); j == len(y) {
@@ -102,40 +66,12 @@ func Match(x, y List) bool {
 }
 
 // Inside reports whether every interval of x is contained in some interval
-// of y ('X inside Y'). Because both lists are normalized, each x-interval
-// can only be covered by the unique y-interval whose End first reaches its
-// End, so one forward pass decides all of x: a merge for balanced lists,
-// a seek once y is seekRatio times longer than x.
+// of y ('X inside Y'). Because both lists are normalized, an x-run can
+// only be covered by the first y-run whose End reaches its End (> End−1,
+// as End ≥ 1), so Inside walks x and seeks through y: O(|x| ·
+// log(|y|/|x|)) when y is the longer list, one step per x-run up to the
+// first uncovered one otherwise.
 func Inside(x, y List) bool {
-	if len(y) >= seekRatio*len(x) {
-		return insideSeek(x, y)
-	}
-	return insideMerge(x, y)
-}
-
-func insideMerge(x, y List) bool {
-	i, j := 0, 0
-	for i < len(x) {
-		if j == len(y) {
-			return false
-		}
-		a, b := x[i], y[j]
-		covered := b.Start <= a.Start && a.End <= b.End
-		if !covered && b.End >= a.End {
-			// The only candidate y-run cannot cover this x-interval.
-			return false
-		}
-		// covered -> consume the x-interval; otherwise b.End < a.End ->
-		// advance y to the next candidate run.
-		i += b2i(covered)
-		j += b2i(!covered)
-	}
-	return true
-}
-
-// insideSeek: only the first y-run with End ≥ a.End (> a.End−1, as
-// a.End ≥ 1) can cover a.
-func insideSeek(x, y List) bool {
 	j := 0
 	for _, a := range x {
 		if j = seek(y, j, a.End-1); j == len(y) || y[j].Start > a.Start {
