@@ -10,7 +10,7 @@ package spatialtopo
 //	BenchmarkFig8Complexity — per-pair cost at complexity levels 1/5/10
 //	BenchmarkFig9Pair       — the showcase lake-in-park pair, P+C vs OP2
 //	BenchmarkTable5Relate   — find relation vs relate_p per predicate
-//	BenchmarkSubstrates     — interval merge-joins, DE-9IM, Hilbert, APRIL build
+//	BenchmarkSubstrates     — interval kernels, DE-9IM, Hilbert, APRIL build
 //	BenchmarkObservedOverhead — plain vs observed pipeline path
 //	BenchmarkTraceOverhead  — plain vs disabled/unsampled request tracing
 //
@@ -146,30 +146,15 @@ func benchLevelName(l int) string {
 }
 
 // BenchmarkFig9Pair is the case study: the most complex filter-settled
-// inside pair, P+C (no refinement) vs OP2 (full DE-9IM).
+// inside pair, P+C (no refinement) vs OP2 (full DE-9IM). `experiments
+// -exp fig9` times the same pair with the same function.
 func BenchmarkFig9Pair(b *testing.B) {
-	pairs := benchPairs(b, harness.ComplexityCombo)
-	var best core.Pair
-	found := false
-	bestC := -1
-	for _, p := range pairs {
-		res := core.FindRelation(core.PC, p.R, p.S)
-		if res.Refined || res.Relation != de9im.Inside {
-			continue
-		}
-		if c := p.Complexity(); c > bestC {
-			best, bestC, found = p, c, true
-		}
-	}
-	if !found {
-		b.Fatal("no showcase pair")
+	p, err := sharedEnv(b).ShowcasePair()
+	if err != nil {
+		b.Fatal(err)
 	}
 	for _, m := range []core.Method{core.PC, core.OP2} {
-		b.Run(m.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.FindRelation(m, best.R, best.S)
-			}
-		})
+		b.Run(m.String(), harness.PairBench(m, p))
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -192,5 +193,7 @@ func run(exp string, seed int64, scale float64, order uint, reg *obs.Registry) e
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
+	fmt.Printf("\nDE-9IM preparation of the candidate objects (untimed, before every sweep): %v\n",
+		env.PrepTime.Round(time.Millisecond))
 	return nil
 }

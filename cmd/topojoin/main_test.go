@@ -144,7 +144,7 @@ func TestRunMetricsSnapshot(t *testing.T) {
 	for i, pr := range idPairs {
 		hp[i] = core.Pair{R: ld.Objects[pr[0]], S: rd.Objects[pr[1]]}
 	}
-	st := harness.RunFindRelation(core.PC, hp)
+	st := harness.RunSweep(core.PC, core.Test{}, hp)
 	if got := reg.Counter(obs.Name("pipeline_verdict_total", "method", "P+C", "stage", "refine")).Value(); got != int64(st.Undetermined) {
 		t.Errorf("registry refined count %d != MethodStats.Undetermined %d", got, st.Undetermined)
 	}

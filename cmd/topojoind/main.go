@@ -19,8 +19,8 @@
 // points (testing only). With -wal, every accepted mutation is appended
 // to a per-dataset write-ahead log and fsynced before the HTTP ack, so
 // acked ingest survives a crash: restart replays the log over the last
-// snapshot epoch. -wal-sync opens a group-commit window that amortizes
-// the fsync across concurrent writers. -trace-sample and -trace-slow enable
+// snapshot epoch; writers that queue while a commit fsyncs share the
+// next batch's fsync. -trace-sample and -trace-slow enable
 // request-scoped span tracing (buffer served on /debug/traces);
 // -slowlog names a directory receiving slow-query forensics (trace
 // JSON + WKT dump of the slowest pair).
@@ -94,7 +94,6 @@ func main() {
 		keyrange    = flag.String("keyrange", "", "Hilbert key range lo:hi (half-open) this shard owns (from topojoinrouter -print-plan)")
 		routeOrder  = flag.Uint("route-order", shard.DefaultRouteOrder, "Hilbert order of the fleet's routing grid (must match the router)")
 		walFlag     = flag.String("wal", "", "directory of per-dataset write-ahead logs: mutations fsync before the ack and replay on restart (empty disables durability)")
-		walSyncFlag = flag.Duration("wal-sync", 0, "group-commit window: how long a WAL commit leader waits for more writers before fsyncing the batch (0 = commit immediately; a window below 1ms behaves as ≈ 1ms on an idle process)")
 		walMaxSeg   = flag.Int64("wal-max-segment", 64<<20, "WAL segment rotation threshold in bytes")
 	)
 	flag.Parse()
@@ -116,7 +115,7 @@ func main() {
 		tracer = trace.New(trace.Config{Sample: *traceSample, SlowThreshold: *traceSlow})
 	}
 	compactThreshold = *compactThr
-	walConf = server.WALOptions{Dir: *walFlag, SyncInterval: *walSyncFlag, MaxSegment: *walMaxSeg}
+	walConf = server.WALOptions{Dir: *walFlag, MaxSegment: *walMaxSeg}
 	if err := run(*addr, *data, *gen, *seed, *scale, *order, *space, server.Config{
 		MaxInFlight:    *maxInFlight,
 		MaxQueue:       *maxQueue,

@@ -29,10 +29,9 @@ func main() {
 
 	fmt.Printf("%-6s  %12s  %12s  %10s\n", "method", "time", "pairs/s", "refined")
 	for _, m := range core.Methods {
-		start := time.Now()
-		st := harness.RunFindRelation(m, pairs)
+		st := harness.RunSweep(m, core.Test{}, pairs)
 		fmt.Printf("%-6v  %12v  %12.0f  %7d (%.1f%%)\n",
-			m, time.Since(start).Round(time.Microsecond), st.Throughput(),
+			m, st.Elapsed.Round(time.Microsecond), st.Throughput(),
 			st.Undetermined, st.UndeterminedPct())
 	}
 

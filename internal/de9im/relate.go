@@ -57,9 +57,11 @@ func Prepare(g *geom.MultiPolygon) *Prepared {
 	return p
 }
 
-// interiorPoints computes one interior point per polygon component,
-// caching the result. Safe under concurrent callers.
-func (p *Prepared) interiorPoints() []geom.Point {
+// InteriorPoints computes one interior point per polygon component,
+// caching the result: the part of preparation a refinement builds only
+// when it needs it (see Relate's interior-point fallbacks). Safe under
+// concurrent callers.
+func (p *Prepared) InteriorPoints() []geom.Point {
 	p.intOnce.Do(func() { p.intPts = geom.InteriorPoints(p.Geom) })
 	return p.intPts
 }
@@ -219,7 +221,7 @@ func RelateScratch(r, s *Prepared, sc *Scratch) Matrix {
 	// when one region's components avoid the other's boundary entirely
 	// (nesting without contact, identical boundaries, disjointness).
 	if m[II] == DimF || m[IE] == DimF {
-		for _, pt := range r.interiorPoints() {
+		for _, pt := range r.InteriorPoints() {
 			switch probe(pt, s.locator, r.locator) {
 			case geom.Inside:
 				m[II] = Dim2
@@ -229,7 +231,7 @@ func RelateScratch(r, s *Prepared, sc *Scratch) Matrix {
 		}
 	}
 	if m[II] == DimF || m[EI] == DimF {
-		for _, pt := range s.interiorPoints() {
+		for _, pt := range s.InteriorPoints() {
 			switch probe(pt, r.locator, s.locator) {
 			case geom.Inside:
 				m[II] = Dim2

@@ -25,8 +25,8 @@ func TestZeroAllocRelateScratch(t *testing.T) {
 	for _, p := range pairs {
 		// Warm up: force interior points and grow the scratch to capacity.
 		sink = RelateScratch(p.r, p.s, sc)
-		p.r.interiorPoints()
-		p.s.interiorPoints()
+		p.r.InteriorPoints()
+		p.s.InteriorPoints()
 	}
 	for i, p := range pairs {
 		allocs := testing.AllocsPerRun(100, func() {

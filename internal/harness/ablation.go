@@ -8,7 +8,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/de9im"
-	"repro/internal/join"
 	"repro/internal/mbrrel"
 )
 
@@ -48,23 +47,14 @@ func GridOrderAblation(seed int64, scale float64, orders []uint) ([]GridAblation
 		}
 		build := time.Since(start)
 
-		idPairs := join.Pairs(left.MBRs(), right.MBRs())
-		pairs := make([]core.Pair, len(idPairs))
-		for i, p := range idPairs {
-			pairs[i] = core.Pair{R: left.Objects[p[0]], S: right.Objects[p[1]]}
-		}
-		st := RunFindRelation(core.PC, pairs)
-		meets := 0
-		for _, p := range pairs {
-			if core.RelatePred(core.PC, p.R, p.S, de9im.Meets).Refined {
-				meets++
-			}
-		}
+		pairs, _ := candidatePairs(left, right)
+		st := RunSweep(core.PC, core.Test{}, pairs)
+		meets := RunSweep(core.PC, core.PredicateTest(de9im.Meets), pairs)
 		rows = append(rows, GridAblationRow{
 			Order:        order,
 			ApproxKB:     float64(left.Sizes().Approx+right.Sizes().Approx) / 1024,
 			PCUndetPct:   st.UndeterminedPct(),
-			MeetsRefined: meets,
+			MeetsRefined: meets.Undetermined,
 			Pairs:        len(pairs),
 			BuildTime:    build,
 		})
@@ -74,7 +64,8 @@ func GridOrderAblation(seed int64, scale float64, orders []uint) ([]GridAblation
 
 // StripProgressive returns copies of the pairs with empty P lists: the
 // C-only variant that reduces P+C to APRIL-style evidence (plus
-// candidate narrowing).
+// candidate narrowing). The copies are fresh objects, so they are
+// prepared here, before any sweep times them.
 func StripProgressive(pairs []core.Pair) []core.Pair {
 	out := make([]core.Pair, len(pairs))
 	cache := make(map[*core.Object]*core.Object)
@@ -90,6 +81,7 @@ func StripProgressive(pairs []core.Pair) []core.Pair {
 	for i, p := range pairs {
 		out[i] = core.Pair{R: strip(p.R), S: strip(p.S)}
 	}
+	prepare(out)
 	return out
 }
 
@@ -144,10 +136,10 @@ func (e *Env) PListAblation() ([]PListAblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	full := RunFindRelation(core.PC, pairs)
-	cOnly := RunFindRelation(core.PC, StripProgressive(pairs))
+	full := RunSweep(core.PC, core.Test{}, pairs)
+	cOnly := RunSweep(core.PC, core.Test{}, StripProgressive(pairs))
 	narrow := RunNarrowingOnly(pairs)
-	april := RunFindRelation(core.APRIL, pairs)
+	april := RunSweep(core.APRIL, core.Test{}, pairs)
 	return []PListAblationRow{
 		{Variant: "P+C (full)", UndetPct: full.UndeterminedPct(), Throughput: full.Throughput()},
 		{Variant: "C-only (P stripped)", UndetPct: cOnly.UndeterminedPct(), Throughput: cOnly.Throughput()},

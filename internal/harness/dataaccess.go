@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -100,11 +101,14 @@ func (e *Env) DataAccess(cacheSize int) ([]DataAccessRow, error) {
 func UniqueObjectsRefined(m core.Method, pairs []core.Pair) (left, right int) {
 	ls := make(map[int]bool)
 	rs := make(map[int]bool)
-	for _, p := range pairs {
-		if core.FindRelation(m, p.R, p.S).Refined {
-			ls[p.R.ID] = true
-			rs[p.S.ID] = true
+	_, err := core.RunFindRelation(context.Background(), m, pairs, 1, func(i int, res core.Result) {
+		if res.Refined {
+			ls[pairs[i].R.ID] = true
+			rs[pairs[i].S.ID] = true
 		}
+	})
+	if err != nil {
+		panic(err)
 	}
 	return len(ls), len(rs)
 }

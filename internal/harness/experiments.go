@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"sort"
+	"testing"
 	"time"
 
 	"repro/internal/core"
@@ -76,7 +77,7 @@ func (e *Env) Fig7() ([]Fig7Row, error) {
 		}
 		row := Fig7Row{Combo: datagen.ComboName(c)}
 		for i, m := range core.Methods {
-			row.Stats[i] = RunFindRelation(m, pairs)
+			row.Stats[i] = RunSweep(m, core.Test{}, pairs)
 		}
 		rows = append(rows, row)
 	}
@@ -150,8 +151,8 @@ func (e *Env) Fig8(nLevels int) ([]Fig8Row, error) {
 	}
 	rows := make([]Fig8Row, 0, len(levels))
 	for _, lv := range levels {
-		op2 := RunFindRelation(core.OP2, lv.Pairs)
-		pc := RunFindRelation(core.PC, lv.Pairs)
+		op2 := RunSweep(core.OP2, core.Test{}, lv.Pairs)
+		pc := RunSweep(core.PC, core.Test{}, lv.Pairs)
 		rows = append(rows, Fig8Row{
 			Level:          lv.Level,
 			MinV:           lv.MinV,
@@ -179,50 +180,61 @@ type CaseStudy struct {
 	Speedup                  float64
 }
 
-// Fig9 finds the showcase pair in the OLE-OPE workload.
-func (e *Env) Fig9() (CaseStudy, error) {
+// ShowcasePair selects the Fig. 9 pair from the OLE-OPE workload: the
+// most complex candidate the P+C filter settles as inside without
+// refinement.
+func (e *Env) ShowcasePair() (core.Pair, error) {
 	pairs, err := e.CandidatePairs(ComplexityCombo)
 	if err != nil {
-		return CaseStudy{}, err
+		return core.Pair{}, err
 	}
 	best := -1
-	bestComplexity := -1
 	for i, p := range pairs {
 		res := core.FindRelation(core.PC, p.R, p.S)
 		if res.Refined || res.Relation != de9im.Inside {
 			continue
 		}
-		if c := p.Complexity(); c > bestComplexity {
-			best, bestComplexity = i, c
+		if best < 0 || p.Complexity() > pairs[best].Complexity() {
+			best = i
 		}
 	}
 	if best < 0 {
-		return CaseStudy{}, fmt.Errorf("harness: no filter-settled inside pair found")
+		return core.Pair{}, fmt.Errorf("harness: no filter-settled inside pair found")
 	}
-	p := pairs[best]
+	return pairs[best], nil
+}
+
+// PairBench is the Fig. 9 measurement: find relation on one pair under
+// method m, b.N times. BenchmarkFig9Pair runs it, and Fig9 reads its
+// per-pair time through testing.Benchmark.
+func PairBench(m core.Method, p core.Pair) func(*testing.B) {
+	return func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			core.FindRelation(m, p.R, p.S)
+		}
+	}
+}
+
+// Fig9 describes the showcase pair and times it under P+C and OP2.
+func (e *Env) Fig9() (CaseStudy, error) {
+	p, err := e.ShowcasePair()
+	if err != nil {
+		return CaseStudy{}, err
+	}
+	pc := testing.Benchmark(PairBench(core.PC, p))
+	op2 := testing.Benchmark(PairBench(core.OP2, p))
 	cs := CaseStudy{
-		RVerts: p.R.Poly.NumVertices(), SVerts: p.S.Poly.NumVertices(),
+		Relation: core.FindRelation(core.PC, p.R, p.S).Relation,
+		RVerts:   p.R.Poly.NumVertices(), SVerts: p.S.Poly.NumVertices(),
 		RMBRArea: p.R.MBR.Area(), SMBRArea: p.S.MBR.Area(),
 		RPIntervals: len(p.R.Approx.P), RCIntervals: len(p.R.Approx.C),
 		SPIntervals: len(p.S.Approx.P), SCIntervals: len(p.S.Approx.C),
+		PCTime:  pc.T / time.Duration(pc.N),
+		OP2Time: op2.T / time.Duration(op2.N),
 	}
-	// Repeat the single-pair measurement to get stable timings.
-	const reps = 50
-	t0 := time.Now()
-	var rel de9im.Relation
-	for i := 0; i < reps; i++ {
-		rel = core.FindRelation(core.PC, p.R, p.S).Relation
-	}
-	cs.PCTime = time.Since(t0) / reps
-	t0 = time.Now()
-	for i := 0; i < reps; i++ {
-		core.FindRelation(core.OP2, p.R, p.S)
-	}
-	cs.OP2Time = time.Since(t0) / reps
-	cs.Relation = rel
-	if cs.PCTime > 0 {
-		cs.Speedup = float64(cs.OP2Time) / float64(cs.PCTime)
-	}
+	// The ratio of the raw totals, not of the whole-nanosecond per-pair
+	// times, which truncate a P+C pair's few dozen ns.
+	cs.Speedup = float64(op2.T) * float64(pc.N) / (float64(pc.T) * float64(op2.N))
 	return cs, nil
 }
 
@@ -234,6 +246,7 @@ type Table5Row struct {
 	RelateThroughput float64
 	FindRefined      int // pairs find relation sent to refinement
 	RelateRefined    int // pairs relate_p sent to refinement
+	Holds            int // pairs the predicate holds for
 }
 
 // Table5Preds are the predicates evaluated in Table 5.
@@ -245,27 +258,17 @@ func (e *Env) Table5() ([]Table5Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	find := RunFindRelation(core.PC, pairs)
+	find := RunSweep(core.PC, core.Test{}, pairs)
 	rows := make([]Table5Row, 0, len(Table5Preds))
 	for _, pred := range Table5Preds {
-		refined := 0
-		start := time.Now()
-		for _, p := range pairs {
-			if core.RelatePred(core.PC, p.R, p.S, pred).Refined {
-				refined++
-			}
-		}
-		elapsed := time.Since(start)
-		rt := 0.0
-		if elapsed > 0 {
-			rt = float64(len(pairs)) / elapsed.Seconds()
-		}
+		rel := RunSweep(core.PC, core.PredicateTest(pred), pairs)
 		rows = append(rows, Table5Row{
 			Pred:             pred,
 			FindThroughput:   find.Throughput(),
-			RelateThroughput: rt,
+			RelateThroughput: rel.Throughput(),
 			FindRefined:      find.Undetermined,
-			RelateRefined:    refined,
+			RelateRefined:    rel.Undetermined,
+			Holds:            rel.Holds,
 		})
 	}
 	return rows, nil

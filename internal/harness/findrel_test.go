@@ -20,7 +20,7 @@ func TestRunFindRelationAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range core.Methods {
-		st := RunFindRelation(m, pairs)
+		st := RunSweep(m, core.Test{}, pairs)
 		if st.MBRSettled+st.IFSettled+st.Undetermined != st.Pairs {
 			t.Errorf("%v: verdicts %d+%d+%d != %d pairs",
 				m, st.MBRSettled, st.IFSettled, st.Undetermined, st.Pairs)
@@ -40,7 +40,7 @@ func TestRunFindRelationAttribution(t *testing.T) {
 		}
 	}
 	// ST2 never consults the intermediate filter.
-	if st := RunFindRelation(core.ST2, pairs); st.IFSettled != 0 {
+	if st := RunSweep(core.ST2, core.Test{}, pairs); st.IFSettled != 0 {
 		t.Errorf("ST2 settled %d pairs via IF", st.IFSettled)
 	}
 }
@@ -50,7 +50,7 @@ func TestMethodStatsPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := RunFindRelation(core.PC, pairs)
+	st := RunSweep(core.PC, core.Test{}, pairs)
 	reg := obs.NewRegistry()
 	st.Publish(reg, "sweep")
 

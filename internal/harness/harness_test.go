@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -275,6 +277,82 @@ func TestTable5Shape(t *testing.T) {
 	RenderTable5(&sb, rows)
 	if !strings.Contains(sb.String(), "meets") {
 		t.Error("render missing predicates")
+	}
+}
+
+// TestTable5HoldsAgreeWithFind: each relate_p sweep's Holds is the
+// number of pairs whose find-relation answer implies the predicate.
+func TestTable5HoldsAgreeWithFind(t *testing.T) {
+	e := env(t)
+	rows, err := e.Table5()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, err := e.CandidatePairs(ComplexityCombo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rels := make([]de9im.Relation, len(pairs))
+	if _, err := core.RunFindRelation(context.Background(), core.PC, pairs, 1, func(i int, res core.Result) {
+		rels[i] = res.Relation
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		want := 0
+		for _, rel := range rels {
+			if core.Implies(rel, r.Pred) {
+				want++
+			}
+		}
+		if r.Holds != want {
+			t.Errorf("relate_%v holds for %d pairs; find relation implies it for %d", r.Pred, r.Holds, want)
+		}
+	}
+}
+
+// sweepMallocs is the heap allocation count of one serial find sweep.
+func sweepMallocs(m core.Method, pairs []core.Pair) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	RunSweep(m, core.Test{}, pairs)
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestSweepsRunWarm pins, by allocation count rather than by time, that
+// no DE-9IM preparation happens inside a timed sweep: on a fresh Env the
+// first ST2 sweep (which refines every pair) allocates what a second
+// one does, and so does the first C-only sweep over StripProgressive's
+// fresh copies. A Prepared build inside the sweep costs hundreds of
+// allocations per object.
+func TestSweepsRunWarm(t *testing.T) {
+	e, err := NewEnv(2026, 0.05, datagen.DefaultOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, err := e.CandidatePairs(ComplexityCombo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.PrepTime <= 0 {
+		t.Error("preparation time not recorded")
+	}
+	const slack = 16 // runtime noise; the sweep itself allocates the same each time
+	for _, tc := range []struct {
+		name   string
+		method core.Method
+		pairs  []core.Pair
+	}{
+		{"ST2", core.ST2, pairs},
+		{"C-only", core.PC, StripProgressive(pairs)},
+	} {
+		first := sweepMallocs(tc.method, tc.pairs)
+		second := sweepMallocs(tc.method, tc.pairs)
+		if first > second+slack {
+			t.Errorf("%s: first sweep made %d mallocs, second %d: the first built DE-9IM structures",
+				tc.name, first, second)
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := RunFindRelation(core.PC, pairs)
+	seq := RunSweep(core.PC, core.Test{}, pairs)
 	for _, workers := range []int{1, 2, 7, 0} {
 		// The visitor sees every pair exactly once.
 		visited := make([]int32, len(pairs))

@@ -132,9 +132,9 @@ func RenderPListAblation(w io.Writer, rows []PListAblationRow) {
 // RenderTable5 prints find-relation vs relate_p throughput.
 func RenderTable5(w io.Writer, rows []Table5Row) {
 	t := tw(w)
-	fmt.Fprintln(t, "Predicate\tfind relation (pairs/s)\trelate_p (pairs/s)")
+	fmt.Fprintln(t, "Predicate\tfind relation (pairs/s)\trelate_p (pairs/s)\tHolds\trelate_p refined")
 	for _, r := range rows {
-		fmt.Fprintf(t, "%v\t%.0f\t%.0f\n", r.Pred, r.FindThroughput, r.RelateThroughput)
+		fmt.Fprintf(t, "%v\t%.0f\t%.0f\t%d\t%d\n", r.Pred, r.FindThroughput, r.RelateThroughput, r.Holds, r.RelateRefined)
 	}
 	t.Flush()
 }

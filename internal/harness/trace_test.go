@@ -15,7 +15,7 @@ func TestSlowPairTracking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := RunFindRelation(core.PC, pairs)
+	serial := RunSweep(core.PC, core.Test{}, pairs)
 	if serial.SlowPairTime <= 0 {
 		t.Fatalf("serial sweep tracked no slow pair: %+v", serial)
 	}

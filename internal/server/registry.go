@@ -96,8 +96,6 @@ type slot struct {
 	wmu     sync.Mutex
 	wq      []*mutReq
 	wleader bool
-	wbytes  int64         // encoded bytes queued (cleared per batch)
-	wfull   chan struct{} // signaled when wbytes crosses the byte threshold
 }
 
 // Registry holds the named datasets a server instance answers queries
@@ -135,10 +133,8 @@ type Registry struct {
 	// walDir, when non-empty, attaches a write-ahead log to every
 	// registered dataset: accepted mutations are fsynced before the
 	// ack and replayed over the snapshot epoch on warm start (see
-	// wal.go). The remaining fields tune group commit and rotation.
+	// wal.go). walMaxSegment is the segment rotation threshold.
 	walDir        string
-	walSync       time.Duration
-	walSyncBytes  int64
 	walMaxSegment int64
 }
 

@@ -688,3 +688,59 @@ func TestTimeoutClamp(t *testing.T) {
 		}
 	}
 }
+
+// TestEvalPairsIndependentOfWorkers: a join or relate response —
+// including which matches survive a truncating limit, and their order —
+// is the one-worker response whatever JoinWorkers is. Covers find mode,
+// every predicate and a mask on both routes, with limits that truncate
+// and limits that do not.
+func TestEvalPairsIndependentOfWorkers(t *testing.T) {
+	post := func(c *Client, route, body string) map[string]any {
+		t.Helper()
+		resp, err := http.Post(c.BaseURL+route, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d", route, body, resp.StatusCode)
+		}
+		var out map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		delete(out, "elapsed_ms")
+		return out
+	}
+	clients := make(map[int]*Client)
+	for _, w := range []int{1, 2, 8} {
+		_, clients[w] = newTestServer(t, Config{JoinWorkers: w}, "OBE", "OPE")
+	}
+	tests := []string{"", `"mask":"T*F**F***",`}
+	for rel := de9im.Relation(0); int(rel) < de9im.NumRelations; rel++ {
+		tests = append(tests, `"predicate":"`+rel.String()+`",`)
+	}
+	// The probe's MBR is the whole space, so relate sees every OBE
+	// building, and its diagonal edge cuts through some of them.
+	const wideProbe = "POLYGON ((0 0, 1024 0, 0 1024))"
+	for _, tc := range []struct{ route, body string }{
+		{"/v1/join", `{"left":"OBE","right":"OPE",%s"limit":%d}`},
+		{"/v1/relate", `{"dataset":"OBE","wkt":"` + wideProbe + `",%s"limit":%d}`},
+	} {
+		for _, test := range tests {
+			for _, limit := range []int{3, 40, 100000} {
+				body := fmt.Sprintf(tc.body, test, limit)
+				want := post(clients[1], tc.route, body)
+				// Sweep workers claim 16-pair chunks: eight need > 7 chunks.
+				if limit == 3 && want["candidates"].(float64) <= 7*16 {
+					t.Fatalf("%s: %v candidates cannot occupy eight workers; fixture too small", tc.route, want["candidates"])
+				}
+				for _, w := range []int{2, 8} {
+					if got := post(clients[w], tc.route, body); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s %s with %d workers:\n got %v\nwant %v", tc.route, body, w, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -34,16 +34,6 @@ import (
 type WALOptions struct {
 	// Dir is the log directory (per-dataset segment files inside).
 	Dir string
-	// SyncInterval is the group-commit window: a leader waits up to
-	// this long for more writers before committing the batch. Zero
-	// commits immediately (batches still form under concurrency). A
-	// non-zero window below 1ms behaves as ≈ 1ms on an idle process: the
-	// Go runtime parks in netpoll, whose timeout rounds sub-millisecond
-	// timers up.
-	SyncInterval time.Duration
-	// SyncBytes cuts the window short once this many encoded geometry
-	// bytes are queued. Zero uses a default of 1 MiB.
-	SyncBytes int64
 	// MaxSegment is the segment rotation threshold in bytes. Zero
 	// uses a default of 64 MiB.
 	MaxSegment int64
@@ -65,11 +55,6 @@ func (g *Registry) EnableWAL(o WALOptions) error {
 		return fmt.Errorf("server: wal dir: %w", err)
 	}
 	g.walDir = o.Dir
-	g.walSync = o.SyncInterval
-	g.walSyncBytes = o.SyncBytes
-	if g.walSyncBytes <= 0 {
-		g.walSyncBytes = 1 << 20
-	}
 	g.walMaxSegment = o.MaxSegment
 	if g.walMaxSegment <= 0 {
 		g.walMaxSegment = 64 << 20
@@ -150,7 +135,6 @@ func (g *Registry) attachWAL(name string, sl *slot) error {
 		replayed++
 	}
 	sl.wal = l
-	sl.wfull = make(chan struct{}, 1)
 	g.count("wal_replayed_total", int64(replayed))
 	if replayed > 0 || skipped > 0 {
 		e := sl.cur.Load()
@@ -227,58 +211,34 @@ func (g *Registry) mutateDurable(name string, sl *slot, kind MutKind, id int, ob
 
 	sl.wmu.Lock()
 	sl.wq = append(sl.wq, req)
-	sl.wbytes += int64(len(req.geom))
-	full := sl.wbytes >= g.walSyncBytes
 	promote := !sl.wleader
 	if promote {
 		sl.wleader = true
 	}
 	sl.wmu.Unlock()
 
-	if full {
-		select {
-		case sl.wfull <- struct{}{}:
-		default:
-		}
-	}
 	if promote {
-		g.commitLead(name, sl, true)
+		g.commitLead(name, sl)
 	} else {
 		select {
 		case <-req.done:
 		case <-req.lead:
-			g.commitLead(name, sl, false)
+			g.commitLead(name, sl)
 		}
 	}
 	<-req.done
 	return req.res, req.err
 }
 
-// commitLead runs one group commit as the slot's leader: optionally
-// hold the commit window open for more writers, drain the queue,
-// commit it as one batch, then hand leadership to the next batch's
-// first waiter (or retire if none is queued). fresh distinguishes a
-// self-promoted leader (which owes the window wait) from a promoted
-// one (whose window effectively ran while it waited in the queue).
-func (g *Registry) commitLead(name string, sl *slot, fresh bool) {
-	if fresh && g.walSync > 0 {
-		t := time.NewTimer(g.walSync)
-		select {
-		case <-t.C:
-		case <-sl.wfull:
-			t.Stop()
-		}
-	}
-
+// commitLead runs one group commit as the slot's leader: drain the
+// queue — every writer that enqueued while the previous batch was
+// fsyncing — commit it as one batch, then hand leadership to the next
+// batch's first waiter (or retire if none is queued).
+func (g *Registry) commitLead(name string, sl *slot) {
 	sl.wmu.Lock()
 	batch := sl.wq
 	sl.wq = nil
-	sl.wbytes = 0
 	sl.wmu.Unlock()
-	select {
-	case <-sl.wfull: // clear a stale byte-threshold signal
-	default:
-	}
 
 	g.commitBatch(name, sl, batch)
 

@@ -354,7 +354,7 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 	reg.Instrument(met)
 	reg.SetLogf(t.Logf)
 	reg.SetCompactThreshold(0)
-	if err := reg.EnableWAL(WALOptions{Dir: walDir, SyncInterval: 500 * time.Microsecond}); err != nil {
+	if err := reg.EnableWAL(WALOptions{Dir: walDir}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reg.Register("grid", "squares", resPolys()); err != nil {
