@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/april"
-	"repro/internal/chull"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/de9im"
@@ -270,25 +269,6 @@ func BenchmarkParallel(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkRelatedWork measures the convex-approximation baseline [6]:
-// building the approximations and filtering one pair.
-func BenchmarkRelatedWork(b *testing.B) {
-	rng := rand.New(rand.NewSource(19))
-	poly := datagen.Blob(rng, geom.Point{X: 100, Y: 100}, 30, 512)
-	other := datagen.Blob(rng, geom.Point{X: 120, Y: 110}, 25, 256)
-	b.Run("chull_build_512v", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			chull.Build(poly)
-		}
-	})
-	ra, sa := chull.Build(poly), chull.Build(other)
-	b.Run("chull_filter", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			chull.IntersectionFilter(ra, sa)
-		}
-	})
 }
 
 // BenchmarkObservedOverhead compares the plain find-relation path

@@ -10,7 +10,7 @@
 //	experiments -exp fig9     # lake-in-park case study
 //	experiments -exp table5   # find relation vs relate_p throughput
 //	experiments -exp access   # unique-geometry access saving (Sec. 4.3)
-//	experiments -exp ablation # grid-order, P-list and related-work ablations
+//	experiments -exp ablation # P-list and grid-order ablations
 //	experiments -exp all      # everything above
 //
 // -scale shrinks or grows the dataset cardinalities, -seed changes the
@@ -168,19 +168,12 @@ func run(exp string, seed int64, scale float64, order uint, reg *obs.Registry) e
 		harness.RenderDataAccess(os.Stdout, darows)
 	}
 	if all || exp == "ablation" {
-		section("Ablation: P-list contribution and narrowing-only (OLE-OPE)")
+		section("Ablation: P-list contribution (OLE-OPE)")
 		rows, err := env.PListAblation()
 		if err != nil {
 			return err
 		}
 		harness.RenderPListAblation(os.Stdout, rows)
-
-		section("Related work: intersection-filter comparison (OLE-OPE)")
-		rwRows, err := env.RelatedWorkComparison()
-		if err != nil {
-			return err
-		}
-		harness.RenderRelatedWork(os.Stdout, rwRows)
 
 		section("Ablation: grid order (OLE-OPE)")
 		orders := []uint{9, 10, 11, 12, 13}

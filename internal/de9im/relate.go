@@ -38,6 +38,7 @@ type Prepared struct {
 // Prepare builds the locator and edge tables for g.
 func Prepare(g *geom.MultiPolygon) *Prepared {
 	p := &Prepared{Geom: g, locator: geom.NewLocator(g), bounds: g.Bounds()}
+	p.edges = make([]prepEdge, 0, g.NumVertices()) // one edge per vertex
 	g.Edges(func(a, b geom.Point) { p.edges = append(p.edges, newPrepEdge(a, b)) })
 	p.byMinX = make([]int32, len(p.edges))
 	for i := range p.byMinX {

@@ -268,3 +268,15 @@ func TestPreparedReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestPrepareEdgesExact pins the edge table to one edge per vertex with
+// no growth slack, on a polygon with a hole and a two-part multipolygon.
+func TestPrepareEdgesExact(t *testing.T) {
+	holed := geom.NewPolygon(sq(0, 0, 10).Shell, sq(2, 2, 3).Shell)
+	for _, g := range []*geom.MultiPolygon{mp(holed), mp(holed, sq(20, 0, 4))} {
+		p := Prepare(g)
+		if n := g.NumVertices(); len(p.edges) != n || cap(p.edges) != n {
+			t.Errorf("edges len %d cap %d, want %d", len(p.edges), cap(p.edges), n)
+		}
+	}
+}

@@ -21,7 +21,7 @@ type edge struct {
 
 // NewLocator builds a Locator over all boundary edges of m.
 func NewLocator(m *MultiPolygon) *Locator {
-	l := &Locator{bounds: m.Bounds()}
+	l := &Locator{bounds: m.Bounds(), edges: make([]edge, 0, m.NumVertices())}
 	m.Edges(func(a, b Point) { l.edges = append(l.edges, edge{a, b}) })
 
 	n := len(l.edges)

@@ -108,6 +108,21 @@ func TestLocatorWithHoles(t *testing.T) {
 	}
 }
 
+// TestLocatorEdgesExact pins the edge table to one edge per vertex with
+// no growth slack, on a polygon with a hole and a two-part multipolygon.
+func TestLocatorEdgesExact(t *testing.T) {
+	holed := NewPolygon(square(0, 0, 10), square(2, 2, 3))
+	for _, m := range []*MultiPolygon{
+		NewMultiPolygon(holed),
+		NewMultiPolygon(holed, NewPolygon(square(20, 0, 4))),
+	} {
+		l := NewLocator(m)
+		if n := m.NumVertices(); len(l.edges) != n || cap(l.edges) != n {
+			t.Errorf("edges len %d cap %d, want %d", len(l.edges), cap(l.edges), n)
+		}
+	}
+}
+
 // TestLocatorVertexQueries checks queries exactly at polygon vertices.
 func TestLocatorVertexQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))

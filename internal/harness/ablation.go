@@ -8,12 +8,10 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/de9im"
-	"repro/internal/mbrrel"
 )
 
 // Ablations isolate the design choices DESIGN.md calls out: the global
-// grid granularity, the contribution of the Progressive lists, and the
-// value of definite filter verdicts versus mere candidate narrowing.
+// grid granularity and the contribution of the Progressive lists.
 
 // GridAblationRow reports the effect of one grid order on the OLE-OPE
 // workload.
@@ -63,9 +61,9 @@ func GridOrderAblation(seed int64, scale float64, orders []uint) ([]GridAblation
 }
 
 // StripProgressive returns copies of the pairs with empty P lists: the
-// C-only variant that reduces P+C to APRIL-style evidence (plus
-// candidate narrowing). The copies are fresh objects, so they are
-// prepared here, before any sweep times them.
+// C-only variant that reduces P+C to APRIL-style evidence. The copies
+// are fresh objects, so they are prepared here, before any sweep times
+// them.
 func StripProgressive(pairs []core.Pair) []core.Pair {
 	out := make([]core.Pair, len(pairs))
 	cache := make(map[*core.Object]*core.Object)
@@ -85,43 +83,6 @@ func StripProgressive(pairs []core.Pair) []core.Pair {
 	return out
 }
 
-// RunNarrowingOnly evaluates a pipeline that uses the MBR case and the
-// intermediate filters only to narrow the candidate masks, always
-// refining (except for the MBR shortcuts) — isolating how much of P+C's
-// win comes from skipped refinements rather than fewer mask checks.
-func RunNarrowingOnly(pairs []core.Pair) core.MethodStats {
-	st := core.MethodStats{Method: core.PC, Pairs: len(pairs)}
-	start := time.Now()
-	for _, p := range pairs {
-		c := mbrrel.Classify(p.R.MBR, p.S.MBR)
-		if rel, ok := mbrrel.Definite(c); ok {
-			st.Relations[rel]++
-			continue
-		}
-		var out core.Outcome
-		switch c {
-		case mbrrel.EqualMBRs:
-			out = core.IFEquals(p.R, p.S)
-		case mbrrel.RInsideS:
-			out = core.IFInside(p.R, p.S)
-		case mbrrel.RContainsS:
-			out = core.IFContains(p.R, p.S)
-		default:
-			out = core.IFIntersects(p.R, p.S)
-		}
-		cands := out.Candidates
-		if out.Definite {
-			cands = de9im.NewRelationSet(out.Relation)
-		}
-		st.Undetermined++
-		rel := de9im.MostSpecific(core.Refine(p.R, p.S), cands)
-		st.Relations[rel]++
-	}
-	st.Elapsed = time.Since(start)
-	st.RefineTime = st.Elapsed
-	return st
-}
-
 // PListAblationRow compares pipeline variants on one workload.
 type PListAblationRow struct {
 	Variant    string
@@ -129,8 +90,8 @@ type PListAblationRow struct {
 	Throughput float64
 }
 
-// PListAblation measures the full P+C pipeline, the C-only variant, and
-// the narrowing-only variant on the OLE-OPE workload.
+// PListAblation measures the full P+C pipeline, the C-only variant and
+// the APRIL baseline on the OLE-OPE workload.
 func (e *Env) PListAblation() ([]PListAblationRow, error) {
 	pairs, err := e.CandidatePairs(ComplexityCombo)
 	if err != nil {
@@ -138,12 +99,10 @@ func (e *Env) PListAblation() ([]PListAblationRow, error) {
 	}
 	full := RunSweep(core.PC, core.Test{}, pairs)
 	cOnly := RunSweep(core.PC, core.Test{}, StripProgressive(pairs))
-	narrow := RunNarrowingOnly(pairs)
 	april := RunSweep(core.APRIL, core.Test{}, pairs)
 	return []PListAblationRow{
 		{Variant: "P+C (full)", UndetPct: full.UndeterminedPct(), Throughput: full.Throughput()},
 		{Variant: "C-only (P stripped)", UndetPct: cOnly.UndeterminedPct(), Throughput: cOnly.Throughput()},
-		{Variant: "narrowing-only", UndetPct: narrow.UndeterminedPct(), Throughput: narrow.Throughput()},
 		{Variant: "APRIL baseline", UndetPct: april.UndeterminedPct(), Throughput: april.Throughput()},
 	}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datagen"
 )
 
 func TestDataAccess(t *testing.T) {
@@ -42,55 +43,42 @@ func TestDataAccess(t *testing.T) {
 	}
 }
 
-func TestRelatedWorkComparison(t *testing.T) {
-	rows, err := env(t).RelatedWorkComparison()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.Pairs == 0 || r.Settled == 0 {
-			t.Errorf("%s: settled %d of %d", r.Name, r.Settled, r.Pairs)
-		}
-		if r.Settled > r.Pairs {
-			t.Errorf("%s: settled more than examined", r.Name)
-		}
-		if p := r.SettledPct(); p <= 0 || p > 100 {
-			t.Errorf("%s: pct %v", r.Name, p)
-		}
-	}
-	if (RelatedWorkRow{}).SettledPct() != 0 {
-		t.Error("empty row pct should be 0")
-	}
-	var sb strings.Builder
-	RenderRelatedWork(&sb, rows)
-	if !strings.Contains(sb.String(), "APRIL") {
-		t.Error("render missing APRIL row")
-	}
-}
-
 func TestPListAblationShape(t *testing.T) {
 	rows, err := env(t).PListAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
+	if len(rows) != 3 {
 		t.Fatalf("got %d rows", len(rows))
 	}
-	full, cOnly, narrow := rows[0], rows[1], rows[2]
+	full, cOnly := rows[0], rows[1]
 	if full.UndetPct >= cOnly.UndetPct {
 		t.Errorf("stripping P lists must hurt: full %.1f%%, C-only %.1f%%",
 			full.UndetPct, cOnly.UndetPct)
 	}
-	if narrow.UndetPct != 100 {
-		t.Errorf("narrowing-only refines everything, got %.1f%%", narrow.UndetPct)
-	}
 	var sb strings.Builder
 	RenderPListAblation(&sb, rows)
-	if !strings.Contains(sb.String(), "narrowing-only") {
+	if !strings.Contains(sb.String(), "APRIL baseline") {
 		t.Error("render missing variants")
+	}
+
+	// Stripping the P lists degrades P+C to exactly APRIL's
+	// effectiveness: the same pairs reach refinement and the same
+	// relations come out, on every combination.
+	for _, c := range datagen.Combos {
+		pairs, err := env(t).CandidatePairs(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cOnly := RunSweep(core.PC, core.Test{}, StripProgressive(pairs))
+		april := RunSweep(core.APRIL, core.Test{}, pairs)
+		name := datagen.ComboName(c)
+		if cOnly.Undetermined != april.Undetermined {
+			t.Errorf("%s: C-only refined %d, APRIL %d", name, cOnly.Undetermined, april.Undetermined)
+		}
+		if cOnly.Relations != april.Relations {
+			t.Errorf("%s: C-only relations %v, APRIL %v", name, cOnly.Relations, april.Relations)
+		}
 	}
 }
 

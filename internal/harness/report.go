@@ -119,7 +119,7 @@ func RenderGridAblation(w io.Writer, rows []GridAblationRow) {
 	t.Flush()
 }
 
-// RenderPListAblation prints the P-list / narrowing ablation.
+// RenderPListAblation prints the P-list ablation.
 func RenderPListAblation(w io.Writer, rows []PListAblationRow) {
 	t := tw(w)
 	fmt.Fprintln(t, "Variant\tUndetermined (%)\tThroughput (pairs/s)")
@@ -135,17 +135,6 @@ func RenderTable5(w io.Writer, rows []Table5Row) {
 	fmt.Fprintln(t, "Predicate\tfind relation (pairs/s)\trelate_p (pairs/s)\tHolds\trelate_p refined")
 	for _, r := range rows {
 		fmt.Fprintf(t, "%v\t%.0f\t%.0f\t%d\t%d\n", r.Pred, r.FindThroughput, r.RelateThroughput, r.Holds, r.RelateRefined)
-	}
-	t.Flush()
-}
-
-// RenderRelatedWork prints the intersection-filter comparison.
-func RenderRelatedWork(w io.Writer, rows []RelatedWorkRow) {
-	t := tw(w)
-	fmt.Fprintln(t, "Filter\tSettled\tBuild time")
-	for _, r := range rows {
-		fmt.Fprintf(t, "%s\t%d / %d (%.1f%%)\t%v\n",
-			r.Name, r.Settled, r.Pairs, r.SettledPct(), r.BuildTime.Round(time.Millisecond))
 	}
 	t.Flush()
 }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/oracle"
 	"repro/internal/shard"
 	"repro/internal/snapshot"
 )
@@ -574,5 +575,40 @@ func TestReproDumpWritesCorpusFormat(t *testing.T) {
 	}
 	if dumpReproPair("", "join", a, b, "boom") != "" {
 		t.Fatal("disabled dir must not dump")
+	}
+}
+
+// TestCorpusDumpsReplay: a panic repro and a slow-pair dump both load
+// through the oracle's corpus reader, whose V check pins each dump's
+// vertex counts against its parsed WKT (here across a hole ring).
+func TestCorpusDumpsReplay(t *testing.T) {
+	dir := t.TempDir()
+	holed := geom.NewPolygon(
+		geom.Ring{{X: 0, Y: 0}, {X: 40, Y: 0}, {X: 40, Y: 40}, {X: 0, Y: 40}},
+		geom.Ring{{X: 10, Y: 10}, {X: 20, Y: 10}, {X: 15, Y: 20}},
+	)
+	sq := resPolys()[0]
+	a := &core.Object{ID: 0, Poly: holed, MBR: holed.Bounds()}
+	b := &core.Object{ID: 1, Poly: sq, MBR: sq.Bounds()}
+	svc := New(NewRegistry(resSpace, resOrder), Config{ReproDir: dir, SlowDir: dir, Logf: t.Logf})
+	defer svc.Close()
+	svc.pairPanic("join", a, b, "boom\nsecond line")
+	svc.dumpSlowPair("relate", 42, a, b, time.Millisecond)
+
+	regs, err := oracle.LoadRegressions(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regs) != 2 {
+		t.Fatalf("loaded %d dumps, want 2", len(regs))
+	}
+	for i, want := range []string{"panic-join: boom second line", "slow-relate: trace="} {
+		r := regs[i]
+		if !strings.HasPrefix(r.Note, want) {
+			t.Errorf("%s: note %q, want prefix %q", r.File, r.Note, want)
+		}
+		if r.VertsA != 7 || r.VertsB != 4 {
+			t.Errorf("%s: V %d %d, want 7 4", r.File, r.VertsA, r.VertsB)
+		}
 	}
 }

@@ -15,9 +15,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/geom"
 	"repro/internal/trace"
-	"repro/internal/wkt"
 )
 
 // installSlowLog wires the tracer's slow-trace hook to the slow-query
@@ -61,25 +59,16 @@ func writeSlowTrace(dir string, td trace.TraceData) string {
 }
 
 // dumpSlowPair writes the slow request's worst pair in the oracle
-// regression-corpus format (`# note`, `A <wkt>`, `B <wkt>`, `V nA nB`),
-// named by route and trace id so it sits next to the trace JSON. The
-// handler calls this synchronously while the geometries are live.
+// regression-corpus format, named by route and trace id so it sits next
+// to the trace JSON. The handler calls this synchronously while the
+// geometries are live.
 func (s *Server) dumpSlowPair(route string, traceID uint64, r, o *core.Object, d time.Duration) {
-	dir := s.cfg.SlowDir
-	if dir == "" || r == nil || o == nil || r.Poly == nil || o.Poly == nil {
-		return
+	id := trace.FormatID(traceID)
+	note := fmt.Sprintf("slow-%s: trace=%s pair_ns=%d", route, id, d.Nanoseconds())
+	path := writeCorpusPair(s.cfg.SlowDir, note, r, o, func(string, string) string {
+		return fmt.Sprintf("slow-%s-%s.txt", route, id)
+	})
+	if path != "" {
+		s.logf("server: slow %s pair dumped to %s", route, path)
 	}
-	wa := wkt.MarshalMultiPolygon(geom.NewMultiPolygon(r.Poly))
-	wb := wkt.MarshalMultiPolygon(geom.NewMultiPolygon(o.Poly))
-	body := fmt.Sprintf("# slow-%s: trace=%s pair_ns=%d\nA %s\nB %s\nV %d %d\n",
-		route, trace.FormatID(traceID), d.Nanoseconds(),
-		wa, wb, r.Poly.NumVertices(), o.Poly.NumVertices())
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return
-	}
-	path := filepath.Join(dir, fmt.Sprintf("slow-%s-%s.txt", route, trace.FormatID(traceID)))
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		return
-	}
-	s.logf("server: slow %s pair dumped to %s", route, path)
 }

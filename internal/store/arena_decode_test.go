@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -87,9 +88,12 @@ func FuzzDecodeAgreement(f *testing.F) {
 			t.Fatalf("structure differs: %d/%d verts, %d/%d holes",
 				hp.NumVertices(), ap.NumVertices(), len(hp.Holes), len(ap.Holes))
 		}
-		for j := range hp.Shell {
-			if hp.Shell[j] != ap.Shell[j] {
-				t.Fatalf("shell vertex %d differs", j)
+		// Bitwise, so a NaN coordinate (the decoders do not validate)
+		// compares equal to itself.
+		for j, p := range hp.Shell {
+			q := ap.Shell[j]
+			if math.Float64bits(p.X) != math.Float64bits(q.X) || math.Float64bits(p.Y) != math.Float64bits(q.Y) {
+				t.Fatalf("shell vertex %d differs: %v vs %v", j, p, q)
 			}
 		}
 	})

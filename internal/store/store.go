@@ -109,14 +109,14 @@ func DecodePolygon(buf []byte) (*geom.Polygon, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Grown by append: the ring count is unchecked until each ring is read.
 	var holes []geom.Ring
-	if rings > 1 {
-		holes = make([]geom.Ring, rings-1)
-	}
-	for i := range holes {
-		if holes[i], err = readRing(); err != nil {
+	for i := uint32(1); i < rings; i++ {
+		h, err := readRing()
+		if err != nil {
 			return nil, err
 		}
+		holes = append(holes, h)
 	}
 	return geom.NewPolygon(shell, holes...), nil
 }

@@ -46,6 +46,9 @@ func TestDecodeErrors(t *testing.T) {
 		{0, 0, 0, 0},                // zero rings
 		{1, 0, 0, 0, 9},             // truncated ring header
 		{1, 0, 0, 0, 9, 0, 0, 0, 1}, // truncated ring data
+		// A ring count of ~600 M in a 10-byte blob: rejected without
+		// sizing a hole slice by it (that would take 14 GB).
+		{'0', '0', '0', '$', 0, 0, 0, 0, '0', '0'},
 	} {
 		if _, err := DecodePolygon(bad); err == nil {
 			t.Errorf("decode of %v should fail", bad)
