@@ -2,6 +2,7 @@ package de9im
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/geom"
@@ -48,27 +49,71 @@ type cut struct {
 	t    float64
 }
 
+// contacts holds every point where one side's boundary meets the other
+// boundary, each an event that ends a run of the classification walk. A
+// contact inside an edge is a cut. A contact within 1e-12 of an edge
+// endpoint splits no sub-segment and is kept as a bit for its vertex
+// instead, so the many vertex contacts of shared boundaries cost no
+// sort.
+type contacts struct {
+	cuts  []cut
+	verts []uint64 // bit i: a contact at vertex i, the start of edge i
+}
+
+// reset empties c for a boundary of n edges. Bit n is kept too: a
+// contact at the end of the last edge sets it.
+func (c *contacts) reset(n int) {
+	c.cuts = c.cuts[:0]
+	w := n/64 + 1
+	if cap(c.verts) < w {
+		c.verts = make([]uint64, w)
+	}
+	c.verts = c.verts[:w]
+	clear(c.verts)
+}
+
+// add records the contact of p with edge e (index idx). A contact at
+// the end of e is one at the start of edge idx+1: if e closes its ring,
+// that bit belongs to the next ring's first vertex, where the walk
+// locates anyway.
+func (c *contacts) add(idx int32, e *prepEdge, p geom.Point) {
+	switch t := e.param(p); {
+	case t <= 1e-12:
+		c.verts[idx/64] |= 1 << (idx % 64)
+	case t >= 1-1e-12:
+		idx++
+		c.verts[idx/64] |= 1 << (idx % 64)
+	default:
+		c.cuts = append(c.cuts, cut{edge: idx, t: t})
+	}
+}
+
+// at reports whether a contact was recorded at vertex i.
+func (c *contacts) at(i int32) bool { return c.verts[i/64]&(1<<(i%64)) != 0 }
+
+// nextVert returns the first vertex in [i, limit) with a contact, or
+// limit if there is none, a word of the bit set at a time.
+func (c *contacts) nextVert(i, limit int32) int32 {
+	for w := i / 64; w <= (limit-1)/64; w++ {
+		b := c.verts[w]
+		if w == i/64 {
+			b &^= 1<<(i%64) - 1
+		}
+		if b != 0 {
+			return min(w*64+int32(bits.TrailingZeros64(b)), limit)
+		}
+	}
+	return limit
+}
+
 // Scratch holds the reusable per-pair noding state: window index lists
-// and cut accumulators. One Scratch serves one goroutine; reusing it
+// and each side's contacts. One Scratch serves one goroutine; reusing it
 // across pairs makes steady-state refinement allocation-free (the
 // zero-alloc guard test pins this). The zero value is ready to use.
 type Scratch struct {
-	rWin, sWin   []int32
-	rCuts, sCuts []cut
-}
-
-func (sc *Scratch) reset() {
-	sc.rWin, sc.sWin = sc.rWin[:0], sc.sWin[:0]
-	sc.rCuts, sc.sCuts = sc.rCuts[:0], sc.sCuts[:0]
-}
-
-// addCut appends the cut of p on edge e (index idx) if it is interior
-// to the edge, mirroring the old per-edge addCut filter exactly.
-func addCut(cuts *[]cut, idx int32, e *prepEdge, p geom.Point) {
-	t := e.param(p)
-	if t > 1e-12 && t < 1-1e-12 {
-		*cuts = append(*cuts, cut{edge: idx, t: t})
-	}
+	rWin, sWin []int32
+	r, s       contacts
+	locates    int // point locations made through this scratch, ever
 }
 
 // appendWindow collects (into dst) the indices of edges whose bbox
@@ -89,11 +134,14 @@ func appendWindow(dst []int32, p *Prepared, win geom.MBR) []int32 {
 }
 
 // node intersects every window edge of r against every window edge of s
-// with the forward plane sweep over x, accumulating cut parameters into
-// the scratch (sorted by (edge, t) on return) and reporting whether the
-// boundaries share at least one point.
+// with the forward plane sweep over x, accumulating each side's contacts
+// into the scratch (cuts sorted by (edge, t) on return) and reporting
+// whether the boundaries share at least one point. Edges outside the
+// window cannot touch the other boundary, so they carry no contacts.
 func (sc *Scratch) node(r, s *Prepared) (anyPoint bool) {
-	sc.reset()
+	sc.rWin, sc.sWin = sc.rWin[:0], sc.sWin[:0]
+	sc.r.reset(len(r.edges))
+	sc.s.reset(len(s.edges))
 	win := r.bounds.Intersection(s.bounds)
 	if win.IsEmpty() {
 		return false
@@ -124,8 +172,8 @@ func (sc *Scratch) node(r, s *Prepared) (anyPoint bool) {
 		}
 	}
 
-	sortCuts(sc.rCuts)
-	sortCuts(sc.sCuts)
+	sortCuts(sc.r.cuts)
+	sortCuts(sc.s.cuts)
 	return anyPoint
 }
 
@@ -137,14 +185,14 @@ func (sc *Scratch) intersectPair(r, s *Prepared, ri, si int32, pad float64) bool
 	x := geom.SegIntersect(re.a, re.b, se.a, se.b)
 	switch x.Kind {
 	case geom.SegPoint:
-		addCut(&sc.rCuts, ri, re, x.P)
-		addCut(&sc.sCuts, si, se, x.P)
+		sc.r.add(ri, re, x.P)
+		sc.s.add(si, se, x.P)
 		return true
 	case geom.SegOverlap:
-		addCut(&sc.rCuts, ri, re, x.P)
-		addCut(&sc.rCuts, ri, re, x.Q)
-		addCut(&sc.sCuts, si, se, x.P)
-		addCut(&sc.sCuts, si, se, x.Q)
+		sc.r.add(ri, re, x.P)
+		sc.r.add(ri, re, x.Q)
+		sc.s.add(si, se, x.P)
+		sc.s.add(si, se, x.Q)
 		return true
 	}
 	return false

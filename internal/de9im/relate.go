@@ -19,17 +19,18 @@ func RelatePolygons(r, s *geom.Polygon) Matrix {
 
 // Prepared wraps a geometry with every pair-independent acceleration
 // structure Relate needs: a slab-indexed point locator, the boundary
-// edge table with per-edge bounding boxes, a minX-sorted edge index for
-// the noding sweep, cached bounds, and lazily computed per-component
-// interior points. Preparing once amortizes all of it across the many
-// pairs an object participates in; a Prepared is immutable after
-// construction and safe for concurrent use (interior points are guarded
-// by a sync.Once).
+// edge table with per-edge bounding boxes and per-ring end offsets, a
+// minX-sorted edge index for the noding sweep, cached bounds, and lazily
+// computed per-component interior points. Preparing once amortizes all
+// of it across the many pairs an object participates in; a Prepared is
+// immutable after construction and safe for concurrent use (interior
+// points are guarded by a sync.Once).
 type Prepared struct {
 	Geom    *geom.MultiPolygon
 	locator *geom.Locator
 	bounds  geom.MBR
 	edges   []prepEdge // boundary edges in Geom.Edges order
+	ringEnd []int32    // per ring, in Geom.Edges order: its end offset in edges
 	byMinX  []int32    // edge indices sorted by (minX, index)
 	intOnce sync.Once
 	intPts  []geom.Point
@@ -39,7 +40,17 @@ type Prepared struct {
 func Prepare(g *geom.MultiPolygon) *Prepared {
 	p := &Prepared{Geom: g, locator: geom.NewLocator(g), bounds: g.Bounds()}
 	p.edges = make([]prepEdge, 0, g.NumVertices()) // one edge per vertex
-	g.Edges(func(a, b geom.Point) { p.edges = append(p.edges, newPrepEdge(a, b)) })
+	rings := 0
+	for _, poly := range g.Polys {
+		rings += 1 + len(poly.Holes)
+	}
+	p.ringEnd = make([]int32, 0, rings)
+	for _, poly := range g.Polys {
+		poly.Rings(func(r geom.Ring) {
+			r.Edges(func(a, b geom.Point) { p.edges = append(p.edges, newPrepEdge(a, b)) })
+			p.ringEnd = append(p.ringEnd, int32(len(p.edges)))
+		})
+	}
 	p.byMinX = make([]int32, len(p.edges))
 	for i := range p.byMinX {
 		p.byMinX[i] = int32(i)
@@ -67,30 +78,43 @@ func (p *Prepared) InteriorPoints() []geom.Point {
 	return p.intPts
 }
 
+// locate is loc.Locate, counted on the scratch.
+func (sc *Scratch) locate(loc *geom.Locator, pt geom.Point) geom.Location {
+	sc.locates++
+	return loc.Locate(pt)
+}
+
 // probe classifies an interior point of the *other* geometry, nudging the
 // probe off numerically-degenerate boundary hits while staying inside own.
-func probe(pt geom.Point, other, own *geom.Locator) geom.Location {
-	loc := other.Locate(pt)
+func (sc *Scratch) probe(pt geom.Point, other, own *geom.Locator) geom.Location {
+	loc := sc.locate(other, pt)
 	if loc != geom.OnBoundary {
 		return loc
 	}
 	const d = 1e-9
 	for _, off := range [...]geom.Point{{X: d}, {X: -d}, {Y: d}, {Y: -d}} {
 		q := pt.Add(off)
-		if own.Locate(q) != geom.Inside {
+		if sc.locate(own, q) != geom.Inside {
 			continue
 		}
-		if l := other.Locate(q); l != geom.OnBoundary {
+		if l := sc.locate(other, q); l != geom.OnBoundary {
 			return l
 		}
 	}
 	return loc
 }
 
-// classifyMid folds the location of one noded-segment midpoint into the
-// side flags.
-func classifyMid(mid geom.Point, loc *geom.Locator, in, on, out *bool) {
-	switch loc.Locate(mid) {
+// classifySub folds the location of the midpoint of edge e's
+// sub-segment [t0, t1] into the side flags.
+func (sc *Scratch) classifySub(e *prepEdge, t0, t1 float64, loc *geom.Locator, in, on, out *bool) {
+	a, b := e.a, e.b
+	if t0 != 0 {
+		a = geom.Lerp(e.a, e.b, t0)
+	}
+	if t1 != 1 {
+		b = geom.Lerp(e.a, e.b, t1)
+	}
+	switch sc.locate(loc, geom.Midpoint(a, b)) {
 	case geom.Inside:
 		*in = true
 	case geom.OnBoundary:
@@ -100,43 +124,53 @@ func classifyMid(mid geom.Point, loc *geom.Locator, in, on, out *bool) {
 	}
 }
 
-// classifySide classifies the midpoint of every noded sub-segment of one
-// boundary against the other geometry's locator. cuts must be sorted by
-// (edge, t); the walk uses a single cursor over the contiguous per-edge
-// runs, so it allocates nothing. Early-exits once all three flags are set.
-func classifySide(edges []prepEdge, cuts []cut, loc *geom.Locator, in, on, out *bool) {
-	c := 0
-	for i := range edges {
-		if *in && *on && *out {
-			return
-		}
-		lo := c
-		for c < len(cuts) && cuts[c].edge == int32(i) {
-			c++
-		}
-		e := &edges[i]
-		run := cuts[lo:c]
-		if len(run) == 0 {
-			classifyMid(geom.Midpoint(e.a, e.b), loc, in, on, out)
-			continue
-		}
-		// Cut parameters within 1e-12 of each other collapse into one
-		// sub-segment boundary.
-		prev := 0.0
-		for _, ct := range run {
-			if ct.t-prev > 1e-12 {
-				classifySub(e, prev, ct.t, loc, in, on, out)
-				prev = ct.t
+// classifySide labels one boundary against the other geometry's locator,
+// one run at a time. A run is a stretch of a ring between two contacts:
+// its interior meets the other boundary nowhere, or lies on it
+// throughout (an overlap, whose ends are contacts), so the midpoint of
+// its first positive-length noded sub-segment labels all of it. The walk
+// keeps a "need locate" flag, set at each ring's start, at each contact
+// vertex and at each cut; once a run is labelled it jumps to the next
+// contact (a word-wise scan of the vertex bits), so a ring costs one
+// Locate plus at most one per contact (the run that wraps past the
+// ring's start may take a second), not one per edge. Sub-segments are those of the noded boundary — cuts within
+// 1e-12 of each other collapse — and the walk uses a single cursor over
+// the cuts, so it allocates nothing. Early-exits once all three flags
+// are set.
+func (sc *Scratch) classifySide(p *Prepared, ct *contacts, loc *geom.Locator, in, on, out *bool) {
+	c, lo := 0, int32(0)
+	for _, hi := range p.ringEnd {
+		need := true
+		for i := lo; i < hi; {
+			if *in && *on && *out {
+				return
+			}
+			need = need || ct.at(i)
+			e := &p.edges[i]
+			prev := 0.0
+			for ; c < len(ct.cuts) && ct.cuts[c].edge == i; c++ {
+				if t := ct.cuts[c].t; t-prev > 1e-12 {
+					if need {
+						sc.classifySub(e, prev, t, loc, in, on, out)
+					}
+					prev, need = t, true
+				}
+			}
+			if need && 1-prev > 1e-12 {
+				sc.classifySub(e, prev, 1, loc, in, on, out)
+				need = false
+			}
+			i++
+			if !need && i < hi {
+				// Nothing changes before the next contact: skip to it.
+				next := hi
+				if c < len(ct.cuts) && ct.cuts[c].edge < next {
+					next = ct.cuts[c].edge
+				}
+				i = ct.nextVert(i, next)
 			}
 		}
-		classifySub(e, prev, 1, loc, in, on, out)
-	}
-}
-
-func classifySub(e *prepEdge, t0, t1 float64, loc *geom.Locator, in, on, out *bool) {
-	if t1-t0 > 1e-12 {
-		mid := geom.Midpoint(geom.Lerp(e.a, e.b, t0), geom.Lerp(e.a, e.b, t1))
-		classifyMid(mid, loc, in, on, out)
+		lo = hi
 	}
 }
 
@@ -151,13 +185,16 @@ func RelatePrepared(r, s *Prepared) Matrix {
 // scratch and warm Prepared values the steady state allocates nothing —
 // the zero-alloc guard test pins this.
 //
-// Derivation: after noding the boundaries against each other, every noded
-// boundary segment of one geometry lies entirely in the interior, on the
-// boundary, or in the exterior of the other (its interior cannot cross the
-// other boundary), so its midpoint classification is exact. Because
-// interiors and exteriors are open sets, boundary/interior and
-// boundary/exterior intersections are never isolated points, which makes
-// the segment flags sufficient for all B-row and B-column entries.
+// Derivation: the noder reports every point where the two boundaries
+// meet, contacts at edge endpoints included. Between two consecutive
+// contacts on a ring — a run — one boundary lies entirely in the
+// interior, on the boundary, or in the exterior of the other (it cannot
+// reach the other boundary without a contact, and an overlap's ends are
+// contacts), so locating one midpoint labels the whole run exactly, and
+// a ring without contacts is a single run. Because interiors and
+// exteriors are open sets, boundary/interior and boundary/exterior
+// intersections are never isolated points, which makes the run flags
+// sufficient for all B-row and B-column entries.
 // Area entries (II, IE, EI) follow from the flags plus per-component
 // interior-point probes; DESIGN.md §4 sketches the completeness argument.
 func RelateScratch(r, s *Prepared, sc *Scratch) Matrix {
@@ -183,8 +220,8 @@ func RelateScratch(r, s *Prepared, sc *Scratch) Matrix {
 	anyPoint := sc.node(r, s)
 
 	var rIn, rOn, rOut, sIn, sOn, sOut bool
-	classifySide(r.edges, sc.rCuts, s.locator, &rIn, &rOn, &rOut)
-	classifySide(s.edges, sc.sCuts, r.locator, &sIn, &sOn, &sOut)
+	sc.classifySide(r, &sc.r, s.locator, &rIn, &rOn, &rOut)
+	sc.classifySide(s, &sc.s, r.locator, &sIn, &sOn, &sOut)
 
 	// Boundary rows/columns.
 	if rIn {
@@ -223,7 +260,7 @@ func RelateScratch(r, s *Prepared, sc *Scratch) Matrix {
 	// (nesting without contact, identical boundaries, disjointness).
 	if m[II] == DimF || m[IE] == DimF {
 		for _, pt := range r.InteriorPoints() {
-			switch probe(pt, s.locator, r.locator) {
+			switch sc.probe(pt, s.locator, r.locator) {
 			case geom.Inside:
 				m[II] = Dim2
 			case geom.Outside:
@@ -233,7 +270,7 @@ func RelateScratch(r, s *Prepared, sc *Scratch) Matrix {
 	}
 	if m[II] == DimF || m[EI] == DimF {
 		for _, pt := range s.InteriorPoints() {
-			switch probe(pt, r.locator, s.locator) {
+			switch sc.probe(pt, r.locator, s.locator) {
 			case geom.Inside:
 				m[II] = Dim2
 			case geom.Outside:

@@ -169,8 +169,28 @@ func collect(m *geom.MultiPolygon) []bEdge {
 	return out
 }
 
+// onCollinear reports whether the piece [t0, t1] of edge e lies on an
+// edge of ye collinear with it. The test is exact: the piece's ends are
+// cut parameters computed by segParam, as are the overlap's, so a piece
+// inside an overlap compares inside it bit for bit. Locating the piece's
+// midpoint instead would round it off a diagonal edge whenever the cut
+// parameters are not dyadic.
+func onCollinear(e bEdge, t0, t1 float64, ye []bEdge) bool {
+	for _, f := range ye {
+		if xprod(f.a, f.b, e.a) != 0 || xprod(f.a, f.b, e.b) != 0 {
+			continue
+		}
+		tc, td := segParam(e.a, e.b, f.a), segParam(e.a, e.b, f.b)
+		if math.Min(tc, td) <= t0 && t1 <= math.Max(tc, td) {
+			return true
+		}
+	}
+	return false
+}
+
 // boundaryAgainst nodes every edge of xe at its intersections with ye and
-// classifies the midpoint of each resulting piece against region y.
+// classifies each resulting piece against region y: on y's boundary when
+// it lies on a collinear edge of ye, else by its midpoint's location.
 // It reports whether any piece lies inside, on, or outside y, and whether
 // the two boundaries share at least one point.
 func boundaryAgainst(xe, ye []bEdge, y *geom.MultiPolygon) (in, on, out, touch bool) {
@@ -186,6 +206,10 @@ func boundaryAgainst(xe, ye []bEdge, y *geom.MultiPolygon) (in, on, out, touch b
 		prev := 0.0
 		classify := func(t0, t1 float64) {
 			if t1-t0 <= 1e-12 {
+				return
+			}
+			if onCollinear(e, t0, t1, ye) {
+				on = true
 				return
 			}
 			mid := geom.Lerp(e.a, e.b, (t0+t1)/2)
@@ -255,16 +279,28 @@ func areaFlags(a, b *geom.MultiPolygon) (ii, ie, ei bool) {
 	}
 	sort.Float64s(ys)
 
-	crossings := func(edges []bEdge, y float64, xs []float64) []float64 {
+	// A scanline crossing: its x and the edge it lies on.
+	type crossing struct {
+		x float64
+		e bEdge
+	}
+	crossings := func(edges []bEdge, y float64, xs []float64, merged []crossing) ([]float64, []crossing) {
 		xs = xs[:0]
 		for _, e := range edges {
 			if (e.a.Y < y) != (e.b.Y < y) {
-				xs = append(xs, e.a.X+(y-e.a.Y)*(e.b.X-e.a.X)/(e.b.Y-e.a.Y))
+				x := e.a.X + (y-e.a.Y)*(e.b.X-e.a.X)/(e.b.Y-e.a.Y)
+				xs = append(xs, x)
+				merged = append(merged, crossing{x, e})
 			}
 		}
 		sort.Float64s(xs)
-		return xs
+		return xs, merged
 	}
+	// Two collinear edges cross a scanline at one point, but the x
+	// computed from each (say, a shared edge traversed in opposite
+	// directions) may differ in the last bits: the gap between them is
+	// no region, and its midpoint must not be classified.
+	collinear := func(e, f bEdge) bool { return xprod(e.a, e.b, f.a) == 0 && xprod(e.a, e.b, f.b) == 0 }
 	// odd reports whether the ray from x to +inf crosses an odd number of
 	// boundary edges: even-odd membership, exact because no xs equals x.
 	odd := func(xs []float64, x float64) bool {
@@ -272,26 +308,24 @@ func areaFlags(a, b *geom.MultiPolygon) (ii, ie, ei bool) {
 		return (len(xs)-i)%2 == 1
 	}
 
-	var xsA, xsB, merged []float64
+	var xsA, xsB []float64
+	var merged []crossing
 	for i := 0; i+1 < len(ys) && !(ii && ie && ei); i++ {
 		y0, y1 := ys[i], ys[i+1]
 		y := (y0 + y1) / 2
 		if !(y > y0 && y < y1) {
 			continue
 		}
-		xsA = crossings(ae, y, xsA)
-		xsB = crossings(be, y, xsB)
-		if len(xsA) == 0 && len(xsB) == 0 {
+		xsA, merged = crossings(ae, y, xsA, merged[:0])
+		xsB, merged = crossings(be, y, xsB, merged)
+		if len(merged) == 0 {
 			continue
 		}
-		merged = merged[:0]
-		merged = append(merged, xsA...)
-		merged = append(merged, xsB...)
-		sort.Float64s(merged)
+		sort.Slice(merged, func(i, j int) bool { return merged[i].x < merged[j].x })
 		for j := 0; j+1 < len(merged); j++ {
-			x0, x1 := merged[j], merged[j+1]
+			x0, x1 := merged[j].x, merged[j+1].x
 			x := (x0 + x1) / 2
-			if !(x > x0 && x < x1) {
+			if !(x > x0 && x < x1) || collinear(merged[j].e, merged[j+1].e) {
 				continue
 			}
 			inA, inB := odd(xsA, x), odd(xsB, x)

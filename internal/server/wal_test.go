@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -19,6 +20,8 @@ import (
 	"repro/internal/geom"
 	"repro/internal/join"
 	"repro/internal/obs"
+	"repro/internal/store"
+	"repro/internal/wal"
 )
 
 // walRegistry builds an instrumented WAL-backed registry over the
@@ -131,6 +134,40 @@ func TestDurableIngestSurvivesRestart(t *testing.T) {
 	}
 	if wantID := insertIDs[len(insertIDs)-1] + 1; res.ID != wantID {
 		t.Fatalf("post-restart insert id = %d, want %d", res.ID, wantID)
+	}
+}
+
+// TestWALReplayRefusesNonFiniteGeometry: a logged insert whose geometry
+// carries a NaN coordinate passes the record CRC, but the blob decoder
+// rejects it, so replay skips the record instead of indexing it.
+func TestWALReplayRefusesNonFiniteGeometry(t *testing.T) {
+	walDir := t.TempDir()
+	l, _, err := wal.Open(walDir, "grid", wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := geom.Polygon{Shell: geom.Ring{{X: 34, Y: 34}, {X: 40, Y: math.NaN()}, {X: 34, Y: 40}}}
+	good := walSq(74, 34)
+	if err := l.Append([]wal.Record{
+		{Kind: byte(MutInsert), ID: 900, LSN: l.NextLSN(), Geom: store.EncodePolygon(&bad)},
+		{Kind: byte(MutInsert), ID: 901, LSN: l.NextLSN() + 1, Geom: store.EncodePolygon(good)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reg, met := walRegistry(t, walDir, "")
+	if got := met.Counter("wal_replay_failures_total").Value(); got != 1 {
+		t.Fatalf("wal_replay_failures_total = %d, want 1", got)
+	}
+	if got := met.Counter("wal_replayed_total").Value(); got != 1 {
+		t.Fatalf("wal_replayed_total = %d, want 1", got)
+	}
+	for _, o := range liveSet(t, reg) {
+		if strings.HasPrefix(o, "900@") {
+			t.Fatalf("the NaN record was replayed into the index: %s", o)
+		}
 	}
 }
 

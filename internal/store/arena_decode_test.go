@@ -51,7 +51,7 @@ func TestDecodePolygonIntoMatchesHeap(t *testing.T) {
 }
 
 // TestDecodePolygonIntoErrors mirrors TestDecodeErrors for the arena
-// path: identical rejection of truncated and ringless blobs.
+// path: identical rejection of truncated, ringless and non-finite blobs.
 func TestDecodePolygonIntoErrors(t *testing.T) {
 	for _, bad := range [][]byte{
 		nil,
@@ -59,6 +59,8 @@ func TestDecodePolygonIntoErrors(t *testing.T) {
 		{0, 0, 0, 0},                // zero rings
 		{1, 0, 0, 0, 9},             // truncated ring header
 		{1, 0, 0, 0, 9, 0, 0, 0, 1}, // truncated ring data
+		nanBlob(),
+		infBlob(),
 	} {
 		var ab geom.ArenaBuilder
 		if err := DecodePolygonInto(&ab, bad); err == nil {
@@ -88,8 +90,8 @@ func FuzzDecodeAgreement(f *testing.F) {
 			t.Fatalf("structure differs: %d/%d verts, %d/%d holes",
 				hp.NumVertices(), ap.NumVertices(), len(hp.Holes), len(ap.Holes))
 		}
-		// Bitwise, so a NaN coordinate (the decoders do not validate)
-		// compares equal to itself.
+		// Bitwise: both decoders reject a NaN coordinate, so exact
+		// float equality would do, but a bit mismatch is the finer test.
 		for j, p := range hp.Shell {
 			q := ap.Shell[j]
 			if math.Float64bits(p.X) != math.Float64bits(q.X) || math.Float64bits(p.Y) != math.Float64bits(q.Y) {

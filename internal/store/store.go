@@ -36,6 +36,17 @@ func EncodePolygon(p *geom.Polygon) []byte {
 	return buf
 }
 
+// readVertex reads one vertex's coordinates, rejecting NaN and ±Inf:
+// no valid polygon has them, and neither decoder hands one on.
+func readVertex(buf []byte) (x, y float64, err error) {
+	x = math.Float64frombits(binary.LittleEndian.Uint64(buf))
+	y = math.Float64frombits(binary.LittleEndian.Uint64(buf[8:]))
+	if math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(y) || math.IsInf(y, 0) {
+		return 0, 0, fmt.Errorf("non-finite coordinate")
+	}
+	return x, y, nil
+}
+
 // DecodePolygonInto parses a blob written by EncodePolygon directly into
 // an arena builder, with the same bounds checks and error strings as
 // DecodePolygon. This is the warm-start path: a snapshot's geometry
@@ -65,8 +76,10 @@ func DecodePolygonInto(b *geom.ArenaBuilder, buf []byte) error {
 		}
 		b.BeginRing()
 		for i := 0; i < n; i++ {
-			x := math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-			y := math.Float64frombits(binary.LittleEndian.Uint64(buf[off+8:]))
+			x, y, err := readVertex(buf[off:])
+			if err != nil {
+				return err
+			}
 			b.Vertex(x, y)
 			off += 16
 		}
@@ -75,9 +88,10 @@ func DecodePolygonInto(b *geom.ArenaBuilder, buf []byte) error {
 }
 
 // DecodePolygon parses a blob written by EncodePolygon. Every length is
-// bounds-checked against the buffer, so truncated or bit-rotted blobs
-// fail with an error instead of panicking — the snapshot loader depends
-// on that to classify corruption.
+// bounds-checked against the buffer and every coordinate must be
+// finite, so truncated or bit-rotted blobs fail with an error instead
+// of panicking or decoding to a NaN vertex — the snapshot loader and
+// WAL replay depend on that to classify corruption.
 func DecodePolygon(buf []byte) (*geom.Polygon, error) {
 	if len(buf) < 4 {
 		return nil, fmt.Errorf("truncated header")
@@ -95,8 +109,10 @@ func DecodePolygon(buf []byte) (*geom.Polygon, error) {
 		}
 		r := make(geom.Ring, n)
 		for i := 0; i < n; i++ {
-			x := math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-			y := math.Float64frombits(binary.LittleEndian.Uint64(buf[off+8:]))
+			x, y, err := readVertex(buf[off:])
+			if err != nil {
+				return nil, err
+			}
 			r[i] = geom.Point{X: x, Y: y}
 			off += 16
 		}

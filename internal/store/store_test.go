@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -49,9 +50,19 @@ func TestDecodeErrors(t *testing.T) {
 		// A ring count of ~600 M in a 10-byte blob: rejected without
 		// sizing a hole slice by it (that would take 14 GB).
 		{'0', '0', '0', '$', 0, 0, 0, 0, '0', '0'},
+		nanBlob(),
+		infBlob(),
 	} {
 		if _, err := DecodePolygon(bad); err == nil {
 			t.Errorf("decode of %v should fail", bad)
 		}
 	}
+}
+
+// nanBlob and infBlob encode a triangle with one non-finite coordinate.
+func nanBlob() []byte { return nonFiniteBlob(math.NaN()) }
+func infBlob() []byte { return nonFiniteBlob(math.Inf(-1)) }
+
+func nonFiniteBlob(v float64) []byte {
+	return EncodePolygon(&geom.Polygon{Shell: geom.Ring{{X: 0, Y: 0}, {X: 4, Y: v}, {X: 0, Y: 4}}})
 }
